@@ -1,5 +1,5 @@
-// Benchmarks regenerating every experiment in DESIGN.md §4 — one benchmark
-// (or sweep) per figure/scenario of the paper plus the A1–A5 ablations.
+// Benchmarks regenerating every experiment — one benchmark (or sweep) per
+// figure/scenario of the paper plus the A1–A7 ablations.
 //
 // Run: go test -bench=. -benchmem
 package repro
@@ -715,11 +715,11 @@ func BenchmarkWALAppend(b *testing.B) {
 }
 
 // BenchmarkE13_WireThroughput — the PR-4 wire experiment: one remote
-// request/response round trip (a SELECT returning the Paris flight block),
-// v2 framed binary vs legacy line-delimited JSON, serial vs pipelined (8
-// submitters multiplexed on ONE connection). allocs/op counts client and
-// server together — the process is shared — so the codec's marshal costs on
-// both sides are in the number. ns/op is report-only per bench methodology;
+// request/response round trip (a SELECT returning the Paris flight block)
+// over the v2 framed protocol, serial vs pipelined (8 submitters multiplexed
+// on ONE connection). allocs/op counts client and server together — the
+// process is shared — so the codec's marshal costs on both sides are in the
+// number. ns/op is report-only per bench methodology;
 // allocs/op is the gated metric.
 func BenchmarkE13_WireThroughput(b *testing.B) {
 	const q = "SELECT * FROM Flights WHERE dest = 'Paris'"
@@ -732,15 +732,12 @@ func BenchmarkE13_WireThroughput(b *testing.B) {
 		b.Cleanup(func() { srv.Close() })
 		return srv.Addr().String()
 	}
-	type querier interface {
-		Query(string) (*server.QueryResult, error)
-	}
 	check := func(b *testing.B, res *server.QueryResult, err error) {
 		if err != nil || len(res.Rows) == 0 {
 			b.Fatalf("%v %v", res, err)
 		}
 	}
-	serial := func(b *testing.B, c querier) {
+	serial := func(b *testing.B, c *server.Client) {
 		res, err := c.Query(q) // warm pools and lazy setup before measuring
 		check(b, res, err)
 		b.ResetTimer()
@@ -749,7 +746,7 @@ func BenchmarkE13_WireThroughput(b *testing.B) {
 			check(b, res, err)
 		}
 	}
-	pipelined := func(b *testing.B, c querier) {
+	pipelined := func(b *testing.B, c *server.Client) {
 		const workers = 8
 		res, err := c.Query(q)
 		check(b, res, err)
@@ -790,22 +787,6 @@ func BenchmarkE13_WireThroughput(b *testing.B) {
 	})
 	b.Run("codec=v2/mode=pipelined", func(b *testing.B) {
 		c, err := server.Dial(newServer(b))
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer c.Close()
-		pipelined(b, c)
-	})
-	b.Run("codec=legacy/mode=serial", func(b *testing.B) {
-		c, err := server.DialLegacy(newServer(b))
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer c.Close()
-		serial(b, c)
-	})
-	b.Run("codec=legacy/mode=pipelined", func(b *testing.B) {
-		c, err := server.DialLegacy(newServer(b))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -966,119 +947,107 @@ func BenchmarkE14_PreparedThroughput(b *testing.B) {
 // BenchmarkE15_SnapshotReaders — the MVCC experiment: point-read throughput
 // of 8 readers probing the shared answer relation while entangled writers
 // continuously match, ground, and install coordinated answers (X-locking
-// Reservation for every install) — the issue's motivating mix of point
-// traffic sharing a hot table with coordination commits. mode=locktable
-// restores the pre-MVCC shared-lock read protocol: every probe runs the full
-// S-lock dance against back-to-back X holds, parking whenever an install is
-// in flight or parked (writer priority), and paying the wake/handoff storm
-// when it is not. mode=snapshot is the versioned-tuple path, where probes
-// resolve against pinned snapshots and never touch the lock table, so
-// readers neither block coordination nor are blocked by it. GOMAXPROCS is
-// raised to 8 for the duration so the readers and writers genuinely overlap
-// even on a small container; note that on a single hardware core the ratio
-// understates the win — total CPU is conserved, so blocked time shows up
-// only as lost scheduler share, while with real parallelism the lock-table
-// baseline also serializes cores against each other.
+// Reservation for every install) — point traffic sharing a hot table with
+// coordination commits. Probes resolve against pinned snapshots and never
+// touch the lock table, so readers neither block coordination nor are
+// blocked by it. GOMAXPROCS is raised to 8 for the duration so the readers
+// and writers genuinely overlap even on a small container. Report-only:
+// allocs/op follows installs/op, which depends on scheduling, so the
+// allocs gate does not track it.
 func BenchmarkE15_SnapshotReaders(b *testing.B) {
 	const readers, writers = 8, 2
-	for _, mode := range []string{"locktable", "snapshot"} {
-		b.Run("mode="+mode, func(b *testing.B) {
-			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(readers))
-			sys := mustSystem(b, 15)
-			sys.TxnManager().LockReads = mode == "locktable"
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(readers))
+	sys := mustSystem(b, 15)
 
-			// Seed the answer relation with one matched pair whose traveler
-			// name is known, so every reader probes a stable indexed key.
-			seedA, seedB := names2()
-			f := travel.FlightFilter{Dest: "Paris"}
-			h1, err := sys.Submit(travel.BuildFlightQuery(seedA, []string{seedB}, f), seedA)
-			if err != nil {
-				b.Fatal(err)
-			}
-			h2, err := sys.Submit(travel.BuildFlightQuery(seedB, []string{seedA}, f), seedB)
-			if err != nil {
-				b.Fatal(err)
-			}
-			mustWait(b, h1)
-			mustWait(b, h2)
-			// Readers run a prepared point probe: parse/plan are off the
-			// measured path, so a probe is pure lock-protocol + index lookup —
-			// the part the two modes differ on.
-			probe, err := sys.Prepare(fmt.Sprintf("SELECT a2 FROM %s WHERE a1 = ?", travel.RelFlight))
-			if err != nil {
-				b.Fatal(err)
-			}
-			probeParams := value.NewTuple(seedA)
+	// Seed the answer relation with one matched pair whose traveler
+	// name is known, so every reader probes a stable indexed key.
+	seedA, seedB := names2()
+	f := travel.FlightFilter{Dest: "Paris"}
+	h1, err := sys.Submit(travel.BuildFlightQuery(seedA, []string{seedB}, f), seedA)
+	if err != nil {
+		b.Fatal(err)
+	}
+	h2, err := sys.Submit(travel.BuildFlightQuery(seedB, []string{seedA}, f), seedB)
+	if err != nil {
+		b.Fatal(err)
+	}
+	mustWait(b, h1)
+	mustWait(b, h2)
+	// Readers run a prepared point probe: parse/plan are off the
+	// measured path, so a probe is a snapshot pin plus an index lookup.
+	probe, err := sys.Prepare(fmt.Sprintf("SELECT a2 FROM %s WHERE a1 = ?", travel.RelFlight))
+	if err != nil {
+		b.Fatal(err)
+	}
+	probeParams := value.NewTuple(seedA)
 
-			// Writers install coordinated answers continuously via the
-			// prepared direct-booking template: each submit is a singleton
-			// match that grounds and installs one Reservation tuple — the
-			// highest-frequency install load the coordinator can produce.
-			ps, err := sys.Prepare(travel.DirectBookingTemplate)
-			if err != nil {
-				b.Fatal(err)
+	// Writers install coordinated answers continuously via the
+	// prepared direct-booking template: each submit is a singleton
+	// match that grounds and installs one Reservation tuple — the
+	// highest-frequency install load the coordinator can produce.
+	ps, err := sys.Prepare(travel.DirectBookingTemplate)
+	if err != nil {
+		b.Fatal(err)
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	var installs atomic.Uint64
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				n := uniq.Add(1)
+				hw, err := ps.SubmitBound(travel.DirectBookingParams(fmt.Sprintf("w%d", n), 122), "bench")
+				if err != nil {
+					b.Error(err)
+					return
+				}
+				hw.Wait(benchNever)
+				installs.Add(1)
 			}
-			stop := make(chan struct{})
-			var wg sync.WaitGroup
-			var installs atomic.Uint64
-			for w := 0; w < writers; w++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for {
-						select {
-						case <-stop:
-							return
-						default:
-						}
-						n := uniq.Add(1)
-						hw, err := ps.SubmitBound(travel.DirectBookingParams(fmt.Sprintf("w%d", n), 122), "bench")
-						if err != nil {
-							b.Error(err)
-							return
-						}
-						hw.Wait(benchNever)
-						installs.Add(1)
-					}
-				}()
-			}
-			// Warm up until the writers are demonstrably installing, so the
-			// measured region is read-vs-install interleaving from its first
-			// op even at tiny -benchtime.
-			for installs.Load() < 4 {
-				if _, err := probe.ExecuteBound(probeParams, ""); err != nil {
-					b.Fatal(err)
+		}()
+	}
+	// Warm up until the writers are demonstrably installing, so the
+	// measured region is read-vs-install interleaving from its first
+	// op even at tiny -benchtime.
+	for installs.Load() < 4 {
+		if _, err := probe.ExecuteBound(probeParams, ""); err != nil {
+			b.Fatal(err)
+		}
+	}
+
+	// One op is a batch of point probes: individual probes are
+	// microseconds, so batching keeps scheduler jitter out of
+	// small-sample runs.
+	const probesPerOp = 500
+	b.SetParallelism(1) // 8 procs × 1 = the 8 concurrent readers
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			for k := 0; k < probesPerOp; k++ {
+				resp, err := probe.ExecuteBound(probeParams, "")
+				if err != nil {
+					b.Error(err)
+					return
+				}
+				if len(resp.Result.Rows) != 1 {
+					b.Errorf("probe returned %d rows, want the seed reservation", len(resp.Result.Rows))
+					return
 				}
 			}
-
-			// One op is a batch of point probes: individual probes are
-			// microseconds, so batching keeps scheduler jitter out of
-			// small-sample runs.
-			const probesPerOp = 500
-			b.SetParallelism(1) // 8 procs × 1 = the 8 concurrent readers
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					for k := 0; k < probesPerOp; k++ {
-						resp, err := probe.ExecuteBound(probeParams, "")
-						if err != nil {
-							b.Error(err)
-							return
-						}
-						if len(resp.Result.Rows) != 1 {
-							b.Errorf("probe returned %d rows, want the seed reservation", len(resp.Result.Rows))
-							return
-						}
-					}
-				}
-			})
-			b.StopTimer()
-			close(stop)
-			wg.Wait()
-			if b.N > 0 {
-				b.ReportMetric(float64(installs.Load())/float64(b.N), "installs/op")
-			}
-		})
+		}
+	})
+	b.StopTimer()
+	close(stop)
+	wg.Wait()
+	if b.N > 0 {
+		b.ReportMetric(float64(installs.Load())/float64(b.N), "installs/op")
 	}
 }
 

@@ -2,8 +2,8 @@
 // middle tier connects to over TCP — the deployment shape of the paper's
 // three-tier demo architecture (Figure 2). Connections speak wire protocol
 // v2 (length-prefixed binary frames, multiplexed requests, typed admin
-// responses); legacy line-delimited JSON clients are auto-detected by their
-// first byte and served by the old codec. See internal/server.
+// responses); a connection that opens with anything else gets one error
+// frame and is closed. See internal/server.
 //
 // Inspect a running server with `youtopia-admin -connect ADDR [-json]`;
 // load it with `loadgen -net ADDR`.

@@ -15,8 +15,8 @@ import (
 )
 
 // Options tune the coordination component. The zero value is usable; New
-// fills in defaults. The knobs double as the ablation switches indexed in
-// DESIGN.md (A1–A3, A5, A7).
+// fills in defaults. The knobs double as the ablation switches of the
+// benchmark suite (A1–A3, A5, A7).
 type Options struct {
 	// MaxMatchSize bounds how many queries one match may join (A2). Matching
 	// is NP-hard in general; the bound keeps arrival latency predictable.

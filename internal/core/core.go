@@ -641,8 +641,3 @@ func (s *System) Catalog() *storage.Catalog { return s.cat }
 // committed/aborted/timeouts plus the MVCC first-committer-wins conflict and
 // GC-reclaimed-version totals (admin surface).
 func (s *System) TxnStats() txn.Stats { return s.mgr.Stats() }
-
-// TxnManager exposes the transaction manager, so benchmarks and tests can
-// flip compatibility knobs such as LockReads (the pre-MVCC shared-lock read
-// protocol) before driving load.
-func (s *System) TxnManager() *txn.Manager { return s.mgr }

@@ -46,11 +46,11 @@ func (e *Engine) evalAggregate(tx *txn.Txn, s *sql.Select, outer *Env) (*Result,
 			return nil, fmt.Errorf("engine: SELECT * cannot be combined with aggregates")
 		}
 	}
+	if err := tx.Err(); err != nil {
+		return nil, err
+	}
 	froms := make([]*fromTable, len(s.From))
 	for i, ref := range s.From {
-		if err := tx.Lock(ref.Name, txn.Shared); err != nil {
-			return nil, err
-		}
 		tbl, err := e.Catalog().Get(ref.Name)
 		if err != nil {
 			return nil, err

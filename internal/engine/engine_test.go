@@ -409,3 +409,30 @@ func TestDDLStatements(t *testing.T) {
 		t.Error("index on missing table accepted")
 	}
 }
+
+// TestReadOnFinishedTxn: reads take no table lock, yet every read path —
+// text SELECT, aggregate and prepared SELECT — still refuses a transaction
+// that has already committed.
+func TestReadOnFinishedTxn(t *testing.T) {
+	e := newEngine(t)
+	tx := e.Manager().Begin()
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	for _, src := range []string{
+		"SELECT fno FROM Flights WHERE dest = 'Paris'",
+		"SELECT COUNT(*) FROM Flights",
+	} {
+		stmt, err := sql.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.ExecuteIn(tx, stmt); !errors.Is(err, txn.ErrTxnDone) {
+			t.Errorf("%s: %v, want ErrTxnDone", src, err)
+		}
+	}
+	p := prep(t, e, "SELECT dest FROM Flights WHERE fno = ?")
+	if _, err := p.ExecuteIn(tx, value.NewTuple(122)); !errors.Is(err, txn.ErrTxnDone) {
+		t.Errorf("prepared: %v, want ErrTxnDone", err)
+	}
+}

@@ -144,8 +144,7 @@ func (e *Engine) explainSelect(d *plan.Desc, s *sql.Select, params value.Tuple) 
 			return nil, err
 		}
 		froms[i] = fromPlan{
-			ref: ref, tbl: tbl, binding: strings.ToLower(ref.Binding()),
-			lockName: strings.ToLower(ref.Name), rangeCol: -1,
+			ref: ref, tbl: tbl, binding: strings.ToLower(ref.Binding()), rangeCol: -1,
 		}
 	}
 	conds := sql.Conjuncts(s.Where)

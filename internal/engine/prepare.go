@@ -60,12 +60,11 @@ type selectPlan struct {
 
 // fromPlan is the static part of a fromTable.
 type fromPlan struct {
-	ref      sql.TableRef
-	tbl      *storage.Table
-	binding  string
-	lockName string // canonical table name for LockCanonical
-	eqCols   []int
-	eqSrcs   []valueSrc
+	ref     sql.TableRef
+	tbl     *storage.Table
+	binding string
+	eqCols  []int
+	eqSrcs  []valueSrc
 	// Range pushdowns over an ordered-indexed column; bounds tighten at
 	// bind time (which of two parameterized bounds is tighter depends on
 	// the bound values).
@@ -176,8 +175,7 @@ func (p *Prepared) buildPlan() (*stmtPlan, error) {
 			return nil, err
 		}
 		sp.froms[i] = fromPlan{
-			ref: ref, tbl: tbl, binding: strings.ToLower(ref.Binding()),
-			lockName: strings.ToLower(ref.Name), rangeCol: -1,
+			ref: ref, tbl: tbl, binding: strings.ToLower(ref.Binding()), rangeCol: -1,
 		}
 	}
 	sp.conds = sql.Conjuncts(s.Where)
@@ -439,11 +437,15 @@ func projectionColsPlanned(s *sql.Select, froms []fromPlan) []string {
 	return cols
 }
 
-// execSelect replays the cached analysis: locks, bind-time pushdown value
+// execSelect replays the cached analysis: bind-time pushdown value
 // resolution, then the shared join loop. Everything per-execution lives in
 // the pooled scratch; only the result rows are freshly allocated (they
-// escape to the caller).
+// escape to the caller). Reads take no lock, but a finished transaction is
+// still refused.
 func (p *Prepared) execSelect(tx *txn.Txn, sp *selectPlan, params value.Tuple) (*Result, error) {
+	if err := tx.Err(); err != nil {
+		return nil, err
+	}
 	sc, _ := p.scratch.Get().(*execScratch)
 	if sc == nil {
 		sc = &execScratch{env: NewEnv()}
@@ -466,9 +468,6 @@ func (p *Prepared) execSelect(tx *txn.Txn, sp *selectPlan, params value.Tuple) (
 	exact := true
 	for i := range sp.froms {
 		fp := &sp.froms[i]
-		if err := tx.LockCanonical(fp.lockName, txn.Shared); err != nil {
-			return nil, err
-		}
 		ft := &fts[i]
 		eqVals := ft.eqVals[:0] // keep the scratch tuple's capacity
 		ids := ft.ids           // keep the reusable id buffer

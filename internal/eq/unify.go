@@ -20,7 +20,7 @@ func (v ScopedVar) String() string { return fmt.Sprintf("q%d.%s", v.QID, v.Name)
 
 // Subst is a substitution: a union-find over scoped variables where each
 // equivalence class may be bound to one constant. It is the "θ" of the
-// matching algorithm in DESIGN.md §3.
+// matching algorithm.
 //
 // Every mutation of the union-find (Bind, Union, and Find's path
 // compression) is recorded on a trail, so a caller can take a Mark, attempt

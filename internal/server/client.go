@@ -85,7 +85,6 @@ type QueryResult struct {
 }
 
 // Dial connects to a Youtopia server with the v2 framed protocol.
-// (DialLegacy speaks the line-delimited JSON protocol of older servers.)
 func Dial(addr string) (*Client, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -657,69 +656,4 @@ func (st *Stmt) Close() error {
 		return f.appendClosePrepared(id, st.id)
 	})
 	return err
-}
-
-// call adapts a legacy Request to the v2 wire — the pre-v2 client surface,
-// kept so existing callers (and the original test suite) run unchanged over
-// the new protocol.
-func (c *Client) call(req Request) (Response, error) {
-	ctx := context.Background()
-	switch {
-	case req.Cancel != 0:
-		if err := c.CancelContext(ctx, req.Cancel); err != nil {
-			return Response{}, err
-		}
-		return Response{ID: req.ID, Query: req.Cancel, Text: "canceled"}, nil
-
-	case req.Admin != "":
-		code, ok := adminCode(req.Admin)
-		if !ok {
-			// Let the server reject it, as the legacy codec did.
-			code = 0xFF
-		}
-		rp, err := c.admin(ctx, code)
-		if err != nil {
-			return Response{}, err
-		}
-		out := Response{ID: req.ID}
-		switch code {
-		case adminState:
-			out.Text = rp.text
-		case adminPending:
-			out.Text = renderPending(rp.pending)
-		case adminStats:
-			out.Text = fmt.Sprintf("%+v", rp.stats)
-		case adminShards:
-			out.Text = renderShards(rp.shards)
-		case adminWAL:
-			out.Text = renderWAL(rp.walStats, rp.durable)
-		case adminTxn:
-			out.Text = renderTxn(rp.txnStats)
-		}
-		return out, nil
-
-	default:
-		// SQL (or empty — the server replies "empty request").
-		r, err := c.roundTrip(ctx, func(f *frameBuf, id uint64) error {
-			return f.appendExec(id, req.SQL, req.Owner, 0)
-		})
-		if err != nil {
-			return Response{}, err
-		}
-		out := Response{ID: req.ID}
-		switch r.rp.kind {
-		case kindResultEnd:
-			if r.res != nil {
-				out.Cols, out.Affected = r.res.Cols, r.res.Affected
-				for _, row := range r.res.Rows {
-					out.Rows = append(out.Rows, encodeTuple(row))
-				}
-			}
-		case kindOK:
-			out.Text = r.rp.text
-		case kindEntangled:
-			out.Entangled, out.Query = true, r.rp.query
-		}
-		return out, nil
-	}
 }

@@ -24,17 +24,15 @@ import (
 // FuzzFrameDecode).
 //
 //	preamble: "YTP2" — sent once by the client immediately after connect.
-//	          The server auto-detects the codec from the first byte: '{'
-//	          selects the legacy line-delimited JSON codec, 'Y' this one.
+//	          Any other opening gets one errBadFrame frame and a close.
 //	frame:    payload length (uint32 LE) | payload
 //	payload:  kind (1 byte) | correlation id (uvarint) | kind-specific body
 //
-// Integers are varints (int64 round-trips exactly — no float64 detour like
-// JSON), floats are 8 raw bytes, strings are length-prefixed, values are
-// tagged with the same tag bytes the WAL uses. Frames are typed by kind, so
-// asynchronous coordination events are structurally distinct from replies
-// and the legacy "id 0 means event" hack disappears. Result sets stream as a
-// header frame plus row-batch frames instead of one giant line.
+// Integers are varints (int64 round-trips exactly — no float64 detour),
+// floats are 8 raw bytes, strings are length-prefixed, values are tagged
+// with the same tag bytes the WAL uses. Frames are typed by kind, so
+// asynchronous coordination events are structurally distinct from replies.
+// Result sets stream as a header frame plus row-batch frames.
 
 // v2Magic is the client's codec preamble.
 var v2Magic = [4]byte{'Y', 'T', 'P', '2'}
@@ -101,32 +99,6 @@ const (
 	errNotPrimary  = 4 // write/entangled statement on a read-only follower
 	errNotReady    = 5 // follower mid-resync; retry shortly (possibly elsewhere)
 )
-
-// adminCode maps the legacy admin command names onto v2 codes.
-func adminCode(name string) (byte, bool) {
-	switch name {
-	case "state":
-		return adminState, true
-	case "pending":
-		return adminPending, true
-	case "stats":
-		return adminStats, true
-	case "shards":
-		return adminShards, true
-	case "wal":
-		return adminWAL, true
-	case "txn":
-		return adminTxn, true
-	case "repl":
-		return adminRepl, true
-	case "promote":
-		return adminPromote, true
-	case "pool":
-		return adminPool, true
-	default:
-		return 0, false
-	}
-}
 
 // ---------------------------------------------------------------------------
 // Encoding
@@ -710,8 +682,7 @@ func (r *frameReader) stats() (coord.StatsSnapshot, error) {
 
 // frameHeader peels kind and correlation id off a payload. The id is
 // best-effort recoverable even when the body later fails to decode, so error
-// replies can echo it (the legacy codec's unrecoverable-id problem, fixed
-// structurally).
+// replies can echo it.
 func frameHeader(payload []byte) (kind byte, id uint64, r frameReader, err error) {
 	r = frameReader{b: payload}
 	if kind, err = r.u8(); err != nil {

@@ -54,7 +54,7 @@ func TestFrameRequestRoundTrip(t *testing.T) {
 }
 
 // TestFrameValueRoundTrip: every value type round-trips exactly — including
-// int64 beyond float64's 2^53 integer range, the legacy codec's known loss.
+// int64 beyond float64's 2^53 integer range.
 func TestFrameValueRoundTrip(t *testing.T) {
 	row := value.Tuple{
 		value.Null,

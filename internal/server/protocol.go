@@ -2,10 +2,7 @@
 // run in a separate process, as in the paper's three-tier deployment
 // (browser → middle tier → Youtopia).
 //
-// Two wire protocols share the listen port, auto-detected from the first
-// byte a client sends:
-//
-// # Wire protocol v2 (the default — Dial speaks it)
+// # Wire protocol v2
 //
 // Length-prefixed binary frames (see frame.go for the exact layout). The
 // client opens with the 4-byte preamble "YTP2", then both sides exchange
@@ -31,32 +28,12 @@
 // to their connection and the table dies with it — a disconnect can never
 // leak server-side statements.
 //
-// # Legacy protocol (line-delimited JSON)
-//
-// A client whose first byte is '{' gets the original codec. One request per
-// line:
-//
-//	{"id": 1, "sql": "SELECT ...", "owner": "jerry"}
-//	{"id": 2, "cancel": 7}                  // cancel entangled query q7
-//	{"id": 3, "admin": "state"}             // state | pending | stats | shards | wal
-//
-// One response per line, correlated by id:
-//
-//	{"id": 1, "rows": [...], "cols": [...], "affected": n}      // plain SQL
-//	{"id": 1, "entangled": true, "query": 7}                    // registered
-//	{"id": 0, "event": "answer", "query": 7, "answers": [...]}  // async push
-//	{"id": 1, "error": "..."}
-//
-// Entangled answers arrive asynchronously as events, exactly like the
+// Entangled answers arrive asynchronously as event frames, exactly like the
 // demo's Facebook notifications: the client submits, keeps working, and is
 // told later which flight it got.
 //
-// Legacy limitations (both fixed in v2): request lines are capped at 1 MiB
-// (the server now replies with an explicit error before closing instead of
-// dying silently), and integers round-trip through JSON float64 on the
-// client decode path, so values outside ±2^53 lose precision — an int64
-// like 1<<60+1 comes back rounded to the nearest representable float64.
-// The v2 codec carries int64 as a varint and is exact.
+// A connection that does not open with the preamble gets one errBadFrame
+// error frame and is closed.
 package server
 
 import (
@@ -67,96 +44,10 @@ import (
 	"repro/internal/core"
 	"repro/internal/storage"
 	"repro/internal/txn"
-	"repro/internal/value"
 )
 
-// legacyMaxLine caps one legacy JSON request line. The v2 framed protocol
-// has its own (larger) bound, maxFrameLen, with an explicit error frame.
-const legacyMaxLine = 1 << 20
-
-// Request is one legacy client → server message.
-type Request struct {
-	ID    uint64 `json:"id"`
-	SQL   string `json:"sql,omitempty"`
-	Owner string `json:"owner,omitempty"`
-	// Cancel withdraws the entangled query with the given server-side id.
-	Cancel uint64 `json:"cancel,omitempty"`
-	// Admin requests an introspection dump: "state", "pending", "stats",
-	// "shards" or "wal".
-	Admin string `json:"admin,omitempty"`
-}
-
-// Response is one legacy server → client message.
-type Response struct {
-	ID uint64 `json:"id"`
-	// Plain statement results.
-	Cols     []string `json:"cols,omitempty"`
-	Rows     [][]any  `json:"rows,omitempty"`
-	Affected int      `json:"affected,omitempty"`
-	// Entangled registration.
-	Entangled bool   `json:"entangled,omitempty"`
-	Query     uint64 `json:"query,omitempty"`
-	// Async coordination event ("answer" | "canceled").
-	Event     string       `json:"event,omitempty"`
-	Answers   []AnswerJSON `json:"answers,omitempty"`
-	MatchSize int          `json:"matchSize,omitempty"`
-	// Admin dump (plain text) and errors.
-	Text  string `json:"text,omitempty"`
-	Error string `json:"error,omitempty"`
-}
-
-// AnswerJSON is one answer relation's contribution in a legacy event.
-type AnswerJSON struct {
-	Relation string  `json:"relation"`
-	Tuples   [][]any `json:"tuples"`
-}
-
-// encodeTuple converts a value.Tuple to JSON-friendly values.
-func encodeTuple(t value.Tuple) []any {
-	out := make([]any, len(t))
-	for i, v := range t {
-		switch v.Type() {
-		case value.TypeNull:
-			out[i] = nil
-		case value.TypeInt:
-			out[i] = v.Int()
-		case value.TypeFloat:
-			out[i] = v.Float()
-		case value.TypeString:
-			out[i] = v.Str()
-		case value.TypeBool:
-			out[i] = v.Bool()
-		}
-	}
-	return out
-}
-
-// DecodeValue converts a JSON-decoded any back into a value.Value.
-// JSON numbers arrive as float64; integral floats become INTs, matching the
-// coercion rules of the value layer. This is the legacy codec's lossy step:
-// int64 values outside ±2^53 round to the nearest float64 (tested tolerance
-// — the v2 codec round-trips them exactly).
-func DecodeValue(x any) value.Value {
-	switch v := x.(type) {
-	case nil:
-		return value.Null
-	case bool:
-		return value.NewBool(v)
-	case float64:
-		if v == float64(int64(v)) {
-			return value.NewInt(int64(v))
-		}
-		return value.NewFloat(v)
-	case string:
-		return value.NewString(v)
-	default:
-		return value.Null
-	}
-}
-
-// renderShards formats per-lane diagnostics the way the admin surface always
-// has. The v2 client renders this client-side from []coord.ShardInfo; the
-// legacy server renders it server-side.
+// renderShards formats per-lane diagnostics; the client renders it from
+// []coord.ShardInfo.
 func renderShards(shards []coord.ShardInfo) string {
 	var b strings.Builder
 	for _, si := range shards {
@@ -174,17 +65,16 @@ func renderWAL(st core.WALStats, durable bool) string {
 	return st.String()
 }
 
-// renderTxn formats the transaction/MVCC counters. Shared by both codecs:
-// the v2 client renders this client-side from txn.Stats, the legacy server
-// renders it server-side.
+// renderTxn formats the transaction/MVCC counters; the client renders it
+// from txn.Stats.
 func renderTxn(st txn.Stats) string {
 	return fmt.Sprintf(
 		"committed=%d aborted=%d timeouts=%d writeConflicts=%d gcReclaimed=%d\n",
 		st.Committed, st.Aborted, st.Timeouts, st.WriteConflicts, st.GCReclaimed)
 }
 
-// renderPool formats the buffer-pool snapshot (or its absence). Shared by
-// both codecs: the v2 client renders it client-side from storage.PoolStats.
+// renderPool formats the buffer-pool snapshot (or its absence); the client
+// renders it from storage.PoolStats.
 func renderPool(st storage.PoolStats, enabled bool) string {
 	if !enabled {
 		return "no buffer pool (fully in-memory storage)\n"
@@ -211,16 +101,6 @@ func renderPool(st storage.PoolStats, enabled bool) string {
 			fmt.Fprintf(&b, "  dead-slots=%d", t.DeadSlots)
 		}
 		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
-// renderPending formats the pending-query table the way the legacy "pending"
-// admin command always has.
-func renderPending(ps []coord.PendingInfo) string {
-	var b strings.Builder
-	for _, p := range ps {
-		fmt.Fprintf(&b, "q%d [%s] %s\n", p.ID, p.Owner, p.Logic)
 	}
 	return b.String()
 }

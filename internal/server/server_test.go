@@ -1,7 +1,9 @@
 package server
 
 import (
-	"encoding/json"
+	"bufio"
+	"context"
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -178,38 +180,59 @@ func TestAdminEndpoints(t *testing.T) {
 	if !strings.Contains(state, "Pending entangled queries (1)") {
 		t.Errorf("state = %q", state)
 	}
-	for _, cmd := range []string{"pending", "stats"} {
-		resp, err := c.call(Request{Admin: cmd})
-		if err != nil {
-			t.Fatalf("%s: %v", cmd, err)
-		}
-		if resp.Text == "" {
-			t.Errorf("%s: empty", cmd)
-		}
+	ctx := context.Background()
+	pend, err := c.AdminPendingList(ctx)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := c.call(Request{Admin: "nope"}); err == nil {
+	if len(pend) != 1 || pend[0].Owner != "k" {
+		t.Errorf("pending = %+v", pend)
+	}
+	stats, err := c.AdminStats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Submitted == 0 || stats.Parked == 0 {
+		t.Errorf("stats = %+v", stats)
+	}
+	if _, err := c.admin(ctx, 0xFF); err == nil {
 		t.Error("unknown admin command accepted")
 	}
-	if _, err := c.call(Request{}); err == nil {
+	if _, err := c.Query(""); err == nil {
 		t.Error("empty request accepted")
 	}
 }
 
+// TestRawProtocolBadJSON: a connection that opens with anything but the v2
+// preamble — a JSON request line, or plain garbage — gets exactly one
+// errBadFrame error frame and is then closed.
 func TestRawProtocolBadJSON(t *testing.T) {
 	_, addr := startServer(t)
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	conn.Write([]byte("this is not json\n")) //nolint:errcheck
-	dec := json.NewDecoder(conn)
-	var resp Response
-	if err := dec.Decode(&resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Error == "" {
-		t.Error("expected error response for bad JSON")
+	for _, opening := range []string{`{"id":1}` + "\n", "garbage"} {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if _, err := conn.Write([]byte(opening)); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
+		br := bufio.NewReader(conn)
+		payload, err := readFrame(br, nil)
+		if err != nil {
+			t.Fatalf("%q: no error frame before close: %v", opening, err)
+		}
+		rp, err := decodeReply(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rp.kind != kindError || rp.errCode != errBadFrame {
+			t.Errorf("%q: reply = %+v, want kindError/errBadFrame", opening, rp)
+		}
+		if n, err := br.Read(make([]byte, 1)); err != io.EOF {
+			t.Errorf("%q: after the error frame read %d byte(s), err %v; want EOF", opening, n, err)
+		}
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"context"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"net"
 	"path/filepath"
@@ -17,9 +16,8 @@ import (
 	"repro/internal/travel"
 )
 
-// TestV2Int64Exact: the v2 codec round-trips int64 exactly; the legacy JSON
-// codec's client decode rounds through float64 above 2^53 (documented
-// tolerance). Both are pinned at 1<<60 + 1.
+// TestV2Int64Exact: the v2 codec round-trips int64 exactly, pinned at
+// 1<<60 + 1 — a value float64 cannot represent.
 func TestV2Int64Exact(t *testing.T) {
 	_, addr := startServer(t)
 	c := dial(t, addr)
@@ -37,58 +35,8 @@ func TestV2Int64Exact(t *testing.T) {
 	if got := res.Rows[0][0].Int(); got != big {
 		t.Errorf("v2: %d != %d (lost precision)", got, big)
 	}
-
-	lc, err := DialLegacy(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lc.Close()
-	lres, err := lc.Query("SELECT i FROM Big")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rounded := int64(float64(big)) // the documented legacy tolerance
-	if got := lres.Rows[0][0].Int(); got != rounded {
-		t.Errorf("legacy: %d, want the float64-rounded %d", got, rounded)
-	}
-	if rounded == big {
-		t.Fatal("test value does not exercise the precision loss")
-	}
-}
-
-// TestPipelinedBadRequestNotMisrouted (legacy): an error reply to an
-// unparseable request must echo the recoverable request id, so a pipelining
-// client correlates it instead of seeing an id-0 orphan that resembles an
-// async event.
-func TestPipelinedBadRequestNotMisrouted(t *testing.T) {
-	_, addr := startServer(t)
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	// Pipeline: a bad request (valid JSON, wrong field type — id recoverable)
-	// between two good ones.
-	fmt.Fprintf(conn, `{"id":1,"sql":"SELECT fno FROM Flights WHERE fno = 122"}`+"\n")
-	fmt.Fprintf(conn, `{"id":7,"cancel":"not-a-number"}`+"\n")
-	fmt.Fprintf(conn, `{"id":3,"sql":"SELECT fno FROM Flights WHERE fno = 122"}`+"\n")
-	dec := json.NewDecoder(conn)
-	var got []Response
-	for i := 0; i < 3; i++ {
-		var r Response
-		if err := dec.Decode(&r); err != nil {
-			t.Fatal(err)
-		}
-		if r.Event != "" {
-			t.Fatalf("reply %d misrouted as event: %+v", i, r)
-		}
-		got = append(got, r)
-	}
-	if got[0].ID != 1 || got[1].ID != 7 || got[2].ID != 3 {
-		t.Errorf("ids = %d,%d,%d, want 1,7,3", got[0].ID, got[1].ID, got[2].ID)
-	}
-	if got[1].Error == "" {
-		t.Error("bad request not reported")
+	if int64(float64(big)) == big {
+		t.Fatal("test value does not exercise float64 precision loss")
 	}
 }
 
@@ -126,38 +74,15 @@ func TestV2BadFrameKeepsConnection(t *testing.T) {
 	}
 }
 
-// TestLegacyLineLimitError: a legacy request above the 1 MiB scanner limit
-// used to kill the connection silently; now an error response explains it.
-func TestLegacyLineLimitError(t *testing.T) {
-	_, addr := startServer(t)
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	huge := fmt.Sprintf(`{"id":5,"sql":"INSERT INTO T VALUES ('%s')"}`+"\n", strings.Repeat("x", legacyMaxLine))
-	if _, err := conn.Write([]byte(huge)); err != nil {
-		t.Fatal(err)
-	}
-	dec := json.NewDecoder(conn)
-	var r Response
-	if err := dec.Decode(&r); err != nil {
-		t.Fatalf("no error reply before close: %v", err)
-	}
-	if !strings.Contains(r.Error, "exceeds") {
-		t.Errorf("error = %q", r.Error)
-	}
-}
-
-// TestV2LargeStatement: the v2 framed protocol carries statements far above
-// the legacy line limit.
+// TestV2LargeStatement: the v2 framed protocol carries multi-megabyte
+// statements.
 func TestV2LargeStatement(t *testing.T) {
 	_, addr := startServer(t)
 	c := dial(t, addr)
 	if _, err := c.Query("CREATE TABLE Blob (s STRING)"); err != nil {
 		t.Fatal(err)
 	}
-	payload := strings.Repeat("y", 2<<20) // 2 MiB — double the legacy limit
+	payload := strings.Repeat("y", 2<<20) // 2 MiB
 	if _, err := c.Query(fmt.Sprintf("INSERT INTO Blob VALUES ('%s')", payload)); err != nil {
 		t.Fatal(err)
 	}
@@ -201,9 +126,10 @@ func TestV2OversizedFrameError(t *testing.T) {
 }
 
 // TestMultiplexedInFlight: one v2 connection sustains many concurrent
-// in-flight requests. A second connection holds an exclusive table lock so
-// the pipelined statements deterministically block server-side while more
-// arrive behind them.
+// in-flight requests. A second connection holds an exclusive table lock and
+// the pipelined statements are writes to that table, so the first blocks
+// server-side on the lock (snapshot reads would not) while the rest arrive
+// behind it.
 func TestMultiplexedInFlight(t *testing.T) {
 	_, addr := startServer(t)
 	locker := dial(t, addr)
@@ -225,7 +151,7 @@ func TestMultiplexedInFlight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := piped.Query("SELECT fno FROM Flights WHERE fno = 122"); err != nil {
+			if _, err := piped.Query("UPDATE Flights SET price = price WHERE fno = 122"); err != nil {
 				errs <- err
 			}
 		}()
@@ -343,7 +269,8 @@ func TestQueryContextCancel(t *testing.T) {
 }
 
 // TestTypedAdminEquivalence: the typed getters return data equivalent to the
-// server's own snapshots (and to the legacy text dumps they replace).
+// server's own snapshots, and their client-side rendering matches the
+// server-side formatting.
 func TestTypedAdminEquivalence(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "wal")
 	sys := core.NewSystem(core.Config{WALPath: dir, CoordShards: 2})
@@ -411,7 +338,7 @@ func TestTypedAdminEquivalence(t *testing.T) {
 	if !durable || st.Commits.Records == 0 {
 		t.Errorf("walstats = %+v durable=%v", st, durable)
 	}
-	// Client-side rendering reproduces the legacy server-side text dump.
+	// Client-side rendering reproduces the server's own text form.
 	text, err := c.AdminWAL()
 	if err != nil {
 		t.Fatal(err)
@@ -447,92 +374,6 @@ func TestTypedAdminEquivalence(t *testing.T) {
 	}
 	if txnText != renderTxn(sys.TxnStats()) {
 		t.Errorf("txn rendering diverged: %q", txnText)
-	}
-}
-
-// TestLegacyClientCompat: the legacy JSON client still works end to end
-// against the new server, via first-byte auto-detection.
-func TestLegacyClientCompat(t *testing.T) {
-	_, addr := startServer(t)
-	kramer, err := DialLegacy(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer kramer.Close()
-	jerry, err := DialLegacy(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer jerry.Close()
-
-	res, err := kramer.Query("SELECT fno FROM Flights WHERE dest = 'Paris' ORDER BY fno")
-	if err != nil || len(res.Rows) != 3 {
-		t.Fatalf("legacy query: %v %v", res, err)
-	}
-
-	_, evK, err := kramer.Submit(travel.BuildFlightQuery("Kramer", []string{"Jerry"}, travel.FlightFilter{Dest: "Paris"}), "kramer")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := jerry.Submit(travel.BuildFlightQuery("Jerry", []string{"Kramer"}, travel.FlightFilter{Dest: "Paris"}), "jerry"); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case out := <-evK:
-		if out.Canceled || out.MatchSize != 2 {
-			t.Errorf("legacy event = %+v", out)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("legacy client got no event")
-	}
-
-	state, err := kramer.AdminState()
-	if err != nil || !strings.Contains(state, "Pending entangled queries") {
-		t.Fatalf("legacy admin: %q %v", state, err)
-	}
-
-	if id, _, err := kramer.Submit(travel.BuildFlightQuery("K", []string{"Ghost"}, travel.FlightFilter{Dest: "Rome"}), "k"); err != nil {
-		t.Fatal(err)
-	} else if err := kramer.Cancel(id); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestMixedCodecCoordination: a v2 client and a legacy client coordinate
-// with each other through the same server — the two codecs share one
-// coordinator and both receive their pushes.
-func TestMixedCodecCoordination(t *testing.T) {
-	_, addr := startServer(t)
-	v2c := dial(t, addr)
-	lc, err := DialLegacy(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lc.Close()
-
-	_, evA, err := v2c.Submit(travel.BuildFlightQuery("Ann", []string{"Bob"}, travel.FlightFilter{Dest: "Paris"}), "ann")
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, evB, err := lc.Submit(travel.BuildFlightQuery("Bob", []string{"Ann"}, travel.FlightFilter{Dest: "Paris"}), "bob")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var fA, fB int64
-	select {
-	case out := <-evA:
-		fA = out.Answers[0].Tuples[0][1].Int()
-	case <-time.After(5 * time.Second):
-		t.Fatal("v2 side timed out")
-	}
-	select {
-	case out := <-evB:
-		fB = out.Answers[0].Tuples[0][1].Int()
-	case <-time.After(5 * time.Second):
-		t.Fatal("legacy side timed out")
-	}
-	if fA != fB || fA == 0 {
-		t.Errorf("coordinated flights differ across codecs: %d vs %d", fA, fB)
 	}
 }
 

@@ -304,7 +304,7 @@ func (a AnswerTarget) String() string {
 //
 // With several answer relations, each contribution is a parenthesized tuple
 // (the demo paper's grammar leaves the multi-relation select list
-// unspecified; we adopt the grouped form and document it in DESIGN.md):
+// unspecified; we adopt the grouped form):
 //
 //	SELECT ('Jerry', fno) INTO ANSWER Reservation,
 //	       ('Jerry', hno) INTO ANSWER HotelReservation

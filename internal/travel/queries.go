@@ -5,8 +5,7 @@
 // The package provides the "standard functionality of a travel Web site such
 // as searching for flights and hotels, selecting specific flights and
 // hotels", a simulated social network standing in for the Facebook API
-// (friend lists and notification messages — see the substitution table in
-// DESIGN.md), an account view of pending and confirmed reservations, and the
+// (friend lists and notification messages), an account view of pending and confirmed reservations, and the
 // translation of coordination requests into entangled queries submitted to
 // the Youtopia core.
 package travel

@@ -339,7 +339,9 @@ func (s *Service) awaitOutcome(b *Booking, h *coord.Handle) {
 	}
 	status, flight, hotel, seat := b.status, b.flight, b.hotel, b.seat
 	b.mu.Unlock()
-	close(b.done)
+	// Close done only after the notification is posted, so a caller that
+	// waited on the booking finds the message in the inbox.
+	defer close(b.done)
 
 	switch status {
 	case StatusCanceled:

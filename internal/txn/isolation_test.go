@@ -67,8 +67,8 @@ func TestNoLostUpdates(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				err := m.RunAtomic(func(tx *Txn) error {
-					// Exclusive first: read-modify-write under one lock.
-					if err := tx.Lock("Counter", Exclusive); err != nil {
+					// Lock first: read-modify-write under one lock.
+					if err := tx.Lock("Counter"); err != nil {
 						return err
 					}
 					row, err := tx.Get("Counter", rowID)

@@ -4,13 +4,11 @@
 //
 // Reads resolve against a per-transaction snapshot pinned from the
 // catalog's MVCC commit clock, so they never take table locks, never block
-// writers, and never observe uncommitted or mid-commit state. Writes still
+// writers, and never observe uncommitted or mid-commit state. Writes
 // acquire exclusive table locks (serializing writers per table) and are
 // checked first-committer-wins against the snapshot: a row changed by a
 // transaction that committed after the snapshot aborts the writer with
 // storage.ErrWriteConflict, which RunAtomic retries on a fresh snapshot.
-// The shared lock mode survives only behind the Manager.LockReads
-// compatibility knob (benchmarking the old lock-table design).
 //
 // The coordination component relies on this layer for the paper's central
 // atomicity guarantee: when a set of entangled queries matches, their answer
@@ -25,28 +23,11 @@ package txn
 
 import (
 	"errors"
-	"fmt"
 	"sort"
 	"strings"
 	"sync"
 	"time"
 )
-
-// LockMode distinguishes shared (read) from exclusive (write) table locks.
-type LockMode uint8
-
-// Lock modes.
-const (
-	Shared LockMode = iota
-	Exclusive
-)
-
-func (m LockMode) String() string {
-	if m == Exclusive {
-		return "X"
-	}
-	return "S"
-}
 
 // ErrLockTimeout is returned when a lock could not be acquired within the
 // manager's timeout; the transaction should abort and retry. Timeouts double
@@ -56,52 +37,35 @@ var ErrLockTimeout = errors.New("txn: lock wait timeout (possible deadlock)")
 // ErrTxnDone is returned when using a transaction after Commit or Rollback.
 var ErrTxnDone = errors.New("txn: transaction already finished")
 
-// tableLock is a writer-priority reader/writer lock supporting
-// per-transaction reentrancy and shared→exclusive upgrade when the holder is
-// the only reader. A parked exclusive request blocks NEW shared grants
-// (reentrant re-acquisition still succeeds), so a continuous stream of
-// readers cannot starve writers indefinitely.
+// tableLock is an exclusive table lock, reentrant per transaction. Waits
+// honour a deadline, which is how lock-wait timeouts resolve deadlocks.
 type tableLock struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	readers map[uint64]int // txn id → hold count
-	writer  uint64         // txn id holding exclusive, 0 if none
-	wcount  int            // reentrant exclusive hold count
-	xwait   int            // exclusive acquisitions currently parked
+	mu     sync.Mutex
+	cond   *sync.Cond
+	holder uint64 // txn id holding the lock, 0 if free
 }
 
 func newTableLock() *tableLock {
-	l := &tableLock{readers: make(map[uint64]int)}
+	l := &tableLock{}
 	l.cond = sync.NewCond(&l.mu)
 	return l
 }
 
-// acquire blocks until the lock is granted to txn id in the given mode or the
-// deadline passes. It supports reentrant acquisition and upgrades.
-func (l *tableLock) acquire(id uint64, mode LockMode, deadline time.Time) error {
+// acquire blocks until the lock is granted to txn id or the deadline passes.
+// Re-acquiring a held lock succeeds at once.
+func (l *tableLock) acquire(id uint64, deadline time.Time) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if mode == Exclusive {
-		l.xwait++
-		defer func() {
-			l.xwait--
-			// Our departure (granted or timed out) may unblock parked readers.
-			l.cond.Broadcast()
-		}()
-	}
-
-	// A timer wakes all waiters periodically so deadline checks make progress
-	// without requiring per-waiter timers on the happy path.
-	for {
-		if l.granted(id, mode) {
-			l.take(id, mode)
-			return nil
-		}
+	// A timer wakes all waiters at the deadline so timeouts make progress
+	// without per-waiter timers on the happy path.
+	for l.holder != 0 && l.holder != id {
 		if !deadline.IsZero() && time.Now().After(deadline) {
 			return ErrLockTimeout
 		}
 		waitWithWake(l.cond, deadline)
 	}
+	l.holder = id
+	return nil
 }
 
 // waitWithWake waits on cond, arranging a broadcast at the deadline so the
@@ -120,92 +84,22 @@ func waitWithWake(cond *sync.Cond, deadline time.Time) {
 	t.Stop()
 }
 
-// granted reports whether txn id may take the lock in mode right now.
-// Caller holds l.mu.
-func (l *tableLock) granted(id uint64, mode LockMode) bool {
-	switch mode {
-	case Shared:
-		if l.writer == id {
-			return true // X subsumes S
-		}
-		if l.writer != 0 {
-			return false
-		}
-		if l.xwait > 0 {
-			// Writer priority: a parked X request fences off new readers, but
-			// a txn already holding S may re-enter (it cannot be the blocker
-			// of the parked X and must not deadlock on itself).
-			_, held := l.readers[id]
-			return held
-		}
-		return true
-	case Exclusive:
-		if l.writer == id {
-			return true // reentrant
-		}
-		if l.writer != 0 {
-			return false
-		}
-		// Upgrade allowed when we are the sole reader; fresh X needs no readers.
-		switch len(l.readers) {
-		case 0:
-			return true
-		case 1:
-			_, sole := l.readers[id]
-			return sole
-		default:
-			return false
-		}
-	}
-	return false
-}
-
-// take records the grant. Caller holds l.mu and granted() was true.
-func (l *tableLock) take(id uint64, mode LockMode) {
-	switch mode {
-	case Shared:
-		if l.writer == id {
-			l.wcount++ // S under X: count as another X hold for symmetric release
-			return
-		}
-		l.readers[id]++
-	case Exclusive:
-		if l.writer == id {
-			l.wcount++
-			return
-		}
-		// Upgrading sole reader: drop read holds into the write hold.
-		delete(l.readers, id)
-		l.writer = id
-		l.wcount = 1
-	}
-}
-
-// release drops one hold of txn id. Strict 2PL releases everything at
-// commit/abort, so release is only called from releaseAll.
-func (l *tableLock) releaseAll(id uint64) {
+// release drops txn id's hold. Strict 2PL releases everything at
+// commit/abort, so this is the only release.
+func (l *tableLock) release(id uint64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.writer == id {
-		l.writer = 0
-		l.wcount = 0
+	if l.holder == id {
+		l.holder = 0
+		l.cond.Broadcast()
 	}
-	delete(l.readers, id)
-	l.cond.Broadcast()
 }
 
-// holds reports whether txn id currently holds the lock in at least mode.
-func (l *tableLock) holds(id uint64, mode LockMode) bool {
+// holds reports whether txn id currently holds the lock.
+func (l *tableLock) holds(id uint64) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.writer == id {
-		return true
-	}
-	if mode == Shared {
-		_, ok := l.readers[id]
-		return ok
-	}
-	return false
+	return l.holder == id
 }
 
 // lockManager hands out tableLocks by canonical table name.
@@ -244,8 +138,4 @@ func sortedUnique(tables []string) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-func lockDesc(table string, mode LockMode) string {
-	return fmt.Sprintf("%s[%s]", table, mode)
 }

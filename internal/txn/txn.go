@@ -23,13 +23,6 @@ type Manager struct {
 	// ErrLockTimeout (deadlock resolution). Zero means wait forever.
 	LockTimeout time.Duration
 
-	// LockReads restores the pre-MVCC behavior of taking shared table locks
-	// for reads. Under snapshot isolation reads resolve against a pinned
-	// snapshot and shared locks are pure overhead, so this is off by default;
-	// it exists to benchmark the lock-table design against the snapshot path
-	// (BenchmarkE15_SnapshotReaders) and as an escape hatch.
-	LockReads bool
-
 	stats struct {
 		committed atomic.Uint64
 		aborted   atomic.Uint64
@@ -105,12 +98,6 @@ func (m *Manager) Begin() *Txn {
 	return t
 }
 
-// heldLock is one acquired table lock.
-type heldLock struct {
-	name string
-	mode LockMode
-}
-
 // undoRecord reverses one mutation.
 type undoRecord struct {
 	table  string
@@ -125,11 +112,11 @@ type undoRecord struct {
 type Txn struct {
 	mgr *Manager
 	id  uint64
-	// held records the strongest mode held per canonical table name. A
+	// held lists the canonical names of the tables this txn has locked. A
 	// statement touches a handful of tables, so a linear slice beats a map —
 	// and, backed by the inline buffer, costs no allocation at all.
-	held    []heldLock
-	heldBuf [4]heldLock
+	held    []string
+	heldBuf [4]string
 	undo    []undoRecord
 	done    bool
 
@@ -182,81 +169,50 @@ func (t *Txn) deadline() time.Time {
 	return time.Now().Add(t.mgr.LockTimeout)
 }
 
-// Lock acquires a table lock in the given mode (idempotent; upgrades when a
-// stronger mode is requested). Under snapshot isolation shared locks are a
-// no-op — reads never block writers or vice versa — unless the manager's
-// LockReads compatibility knob is set; exclusive locks still serialize
-// writers per table.
-func (t *Txn) Lock(table string, mode LockMode) error {
+// Err returns ErrTxnDone once the transaction has committed or rolled back,
+// and nil before. Reads take no lock, so callers that read through the
+// engine check it to refuse work on a finished transaction.
+func (t *Txn) Err() error {
 	if t.done {
 		return ErrTxnDone
-	}
-	if mode == Shared && !t.mgr.LockReads {
-		return nil
-	}
-	return t.lockCanonical(strings.ToLower(table), table, mode)
-}
-
-// LockCanonical is Lock for an already-canonical (lower-case) table name —
-// prepared plans store canonical names, keeping ToLower off the per-
-// execution path.
-func (t *Txn) LockCanonical(key string, mode LockMode) error {
-	if t.done {
-		return ErrTxnDone
-	}
-	if mode == Shared && !t.mgr.LockReads {
-		return nil
-	}
-	return t.lockCanonical(key, key, mode)
-}
-
-func (t *Txn) lockCanonical(key, display string, mode LockMode) error {
-	hi := -1
-	for i := range t.held {
-		if t.held[i].name == key {
-			if cur := t.held[i].mode; cur == Exclusive || cur == mode {
-				return nil
-			}
-			hi = i
-			break
-		}
-	}
-	if err := t.mgr.locks.get(key).acquire(t.id, mode, t.deadline()); err != nil {
-		t.mgr.stats.timeouts.Add(1)
-		return fmt.Errorf("%w: %s", err, lockDesc(display, mode))
-	}
-	if hi >= 0 {
-		if mode == Exclusive && t.held[hi].mode == Shared {
-			t.held[hi].mode = mode
-		}
-	} else {
-		t.held = append(t.held, heldLock{name: key, mode: mode})
 	}
 	return nil
 }
 
-// LockAll acquires locks on every (table, mode) pair in a canonical global
-// order, which makes concurrent LockAll callers deadlock-free with respect to
-// each other. Exclusive wins when a table appears with both modes.
-func (t *Txn) LockAll(shared, exclusive []string) error {
-	modes := make(map[string]LockMode)
-	for _, s := range shared {
-		modes[strings.ToLower(s)] = Shared
+// Lock acquires the exclusive lock on table (idempotent). Reads never lock —
+// they resolve against the snapshot — so table locks only serialize writers.
+func (t *Txn) Lock(table string) error {
+	if t.done {
+		return ErrTxnDone
 	}
-	for _, x := range exclusive {
-		modes[strings.ToLower(x)] = Exclusive
+	key := strings.ToLower(table)
+	for _, h := range t.held {
+		if h == key {
+			return nil
+		}
 	}
-	for _, name := range sortedUnique(append(append([]string{}, shared...), exclusive...)) {
-		if err := t.Lock(name, modes[name]); err != nil {
+	if err := t.mgr.locks.get(key).acquire(t.id, t.deadline()); err != nil {
+		t.mgr.stats.timeouts.Add(1)
+		return fmt.Errorf("%w: %s", err, table)
+	}
+	t.held = append(t.held, key)
+	return nil
+}
+
+// LockAll locks every table in a canonical global order, which makes
+// concurrent LockAll callers deadlock-free with respect to each other.
+func (t *Txn) LockAll(tables []string) error {
+	for _, name := range sortedUnique(tables) {
+		if err := t.Lock(name); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// Holds reports whether the txn holds at least the given mode on table.
-func (t *Txn) Holds(table string, mode LockMode) bool {
-	return t.mgr.locks.get(table).holds(t.id, mode)
+// Holds reports whether the txn holds the lock on table.
+func (t *Txn) Holds(table string) bool {
+	return t.mgr.locks.get(table).holds(t.id)
 }
 
 func (t *Txn) table(name string) (*storage.Table, error) {
@@ -266,7 +222,7 @@ func (t *Txn) table(name string) (*storage.Table, error) {
 // Insert inserts a tuple under an exclusive lock and logs the undo. The new
 // version is invisible to other transactions until commit.
 func (t *Txn) Insert(table string, tup value.Tuple) (storage.RowID, error) {
-	if err := t.Lock(table, Exclusive); err != nil {
+	if err := t.Lock(table); err != nil {
 		return 0, err
 	}
 	tbl, err := t.table(table)
@@ -283,7 +239,7 @@ func (t *Txn) Insert(table string, tup value.Tuple) (storage.RowID, error) {
 
 // Delete removes a row under an exclusive lock and logs the undo.
 func (t *Txn) Delete(table string, id storage.RowID) error {
-	if err := t.Lock(table, Exclusive); err != nil {
+	if err := t.Lock(table); err != nil {
 		return err
 	}
 	tbl, err := t.table(table)
@@ -300,7 +256,7 @@ func (t *Txn) Delete(table string, id storage.RowID) error {
 
 // Update replaces a row under an exclusive lock and logs the undo.
 func (t *Txn) Update(table string, id storage.RowID, tup value.Tuple) error {
-	if err := t.Lock(table, Exclusive); err != nil {
+	if err := t.Lock(table); err != nil {
 		return err
 	}
 	tbl, err := t.table(table)
@@ -316,10 +272,10 @@ func (t *Txn) Update(table string, id storage.RowID, tup value.Tuple) error {
 }
 
 // Scan iterates the table against the transaction's snapshot. It takes no
-// lock (unless LockReads is set): the snapshot guarantees a consistent,
-// repeatable view while writers proceed underneath.
+// lock: the snapshot guarantees a consistent, repeatable view while writers
+// proceed underneath.
 func (t *Txn) Scan(table string, fn func(storage.RowID, value.Tuple) bool) error {
-	if err := t.Lock(table, Shared); err != nil {
+	if err := t.Err(); err != nil {
 		return err
 	}
 	tbl, err := t.table(table)
@@ -332,7 +288,7 @@ func (t *Txn) Scan(table string, fn func(storage.RowID, value.Tuple) bool) error
 
 // Get reads one row against the transaction's snapshot.
 func (t *Txn) Get(table string, id storage.RowID) (value.Tuple, error) {
-	if err := t.Lock(table, Shared); err != nil {
+	if err := t.Err(); err != nil {
 		return nil, err
 	}
 	tbl, err := t.table(table)
@@ -397,8 +353,8 @@ func (t *Txn) Rollback() error {
 
 // finish releases all locks and unpins the snapshot. Caller holds t.mu.
 func (t *Txn) finish() {
-	for _, h := range t.held {
-		t.mgr.locks.get(h.name).releaseAll(t.id)
+	for _, name := range t.held {
+		t.mgr.locks.get(name).release(t.id)
 	}
 	if t.pinned {
 		t.mgr.catalog.UnpinSnapshot(&t.snapRef)

@@ -95,43 +95,62 @@ func TestUseAfterFinish(t *testing.T) {
 	if _, err := tx.Insert("Flights", value.NewTuple(1, "x")); !errors.Is(err, ErrTxnDone) {
 		t.Errorf("insert after commit: %v", err)
 	}
+	// Reads take no lock, but a finished transaction still refuses them.
+	if err := tx.Scan("Flights", func(storage.RowID, value.Tuple) bool { return true }); !errors.Is(err, ErrTxnDone) {
+		t.Errorf("scan after commit: %v", err)
+	}
+	if _, err := tx.Get("Flights", 1); !errors.Is(err, ErrTxnDone) {
+		t.Errorf("get after commit: %v", err)
+	}
+	if !errors.Is(tx.Err(), ErrTxnDone) {
+		t.Errorf("Err after commit: %v", tx.Err())
+	}
 }
 
+// TestSharedLocksAllowConcurrentReaders: reads take no table lock, so two
+// transactions read the same table at once — even while a third holds its
+// exclusive lock.
 func TestSharedLocksAllowConcurrentReaders(t *testing.T) {
 	m, _ := setup(t)
-	m.LockReads = true // exercise the compatibility lock table
-	tx1, tx2 := m.Begin(), m.Begin()
+	m.LockTimeout = 50 * time.Millisecond
+	w, tx1, tx2 := m.Begin(), m.Begin(), m.Begin()
+	defer w.Rollback()
 	defer tx1.Rollback()
 	defer tx2.Rollback()
-	if err := tx1.Lock("Flights", Shared); err != nil {
+	if err := w.Lock("Flights"); err != nil {
 		t.Fatal(err)
 	}
-	if err := tx2.Lock("Flights", Shared); err != nil {
-		t.Fatalf("second reader blocked: %v", err)
+	for i, tx := range []*Txn{tx1, tx2} {
+		n := 0
+		if err := tx.Scan("Flights", func(storage.RowID, value.Tuple) bool { n++; return true }); err != nil || n != 3 {
+			t.Fatalf("reader %d: %d rows, %v", i+1, n, err)
+		}
+		if tx.Holds("Flights") {
+			t.Errorf("reader %d took a table lock", i+1)
+		}
 	}
 }
 
 func TestExclusiveBlocksUntilRelease(t *testing.T) {
 	m, _ := setup(t)
-	m.LockReads = true // under MVCC shared locks are a no-op; pin the lock table's S/X semantics
 	tx1 := m.Begin()
-	if err := tx1.Lock("Flights", Exclusive); err != nil {
+	if err := tx1.Lock("Flights"); err != nil {
 		t.Fatal(err)
 	}
 	acquired := make(chan error, 1)
 	go func() {
 		tx2 := m.Begin()
 		defer tx2.Rollback()
-		acquired <- tx2.Lock("Flights", Shared)
+		acquired <- tx2.Lock("Flights")
 	}()
 	select {
 	case <-acquired:
-		t.Fatal("reader acquired lock while writer held it")
+		t.Fatal("second writer acquired lock while the first held it")
 	case <-time.After(50 * time.Millisecond):
 	}
 	tx1.Commit()
 	if err := <-acquired; err != nil {
-		t.Fatalf("reader failed after release: %v", err)
+		t.Fatalf("second writer failed after release: %v", err)
 	}
 }
 
@@ -140,12 +159,12 @@ func TestLockTimeoutResolvesConflict(t *testing.T) {
 	m.LockTimeout = 50 * time.Millisecond
 	tx1 := m.Begin()
 	defer tx1.Rollback()
-	if err := tx1.Lock("Flights", Exclusive); err != nil {
+	if err := tx1.Lock("Flights"); err != nil {
 		t.Fatal(err)
 	}
 	tx2 := m.Begin()
 	defer tx2.Rollback()
-	if err := tx2.Lock("Flights", Exclusive); !errors.Is(err, ErrLockTimeout) {
+	if err := tx2.Lock("Flights"); !errors.Is(err, ErrLockTimeout) {
 		t.Fatalf("expected ErrLockTimeout, got %v", err)
 	}
 	if m.Stats().Timeouts == 0 {
@@ -153,41 +172,51 @@ func TestLockTimeoutResolvesConflict(t *testing.T) {
 	}
 }
 
+// TestReentrantAndUpgrade: a transaction that has read a table goes on to
+// lock it for writing, re-locking is a no-op, and commit releases the lock.
 func TestReentrantAndUpgrade(t *testing.T) {
 	m, _ := setup(t)
-	m.LockReads = true // exercise the compatibility lock table's upgrade path
 	tx := m.Begin()
 	defer tx.Rollback()
-	if err := tx.Lock("Flights", Shared); err != nil {
+	if err := tx.Scan("Flights", func(storage.RowID, value.Tuple) bool { return true }); err != nil {
 		t.Fatal(err)
 	}
-	if err := tx.Lock("Flights", Shared); err != nil {
-		t.Fatal("reentrant shared failed")
+	if err := tx.Lock("Flights"); err != nil {
+		t.Fatalf("lock after read failed: %v", err)
 	}
-	// Sole reader can upgrade.
-	if err := tx.Lock("Flights", Exclusive); err != nil {
-		t.Fatalf("upgrade failed: %v", err)
+	if err := tx.Lock("flights"); err != nil {
+		t.Fatal("reentrant lock failed")
 	}
-	// X subsumes S.
-	if err := tx.Lock("Flights", Shared); err != nil {
-		t.Fatalf("S under X failed: %v", err)
+	if !tx.Holds("Flights") {
+		t.Error("Holds false after lock")
 	}
-	if !tx.Holds("Flights", Exclusive) {
-		t.Error("Holds(X) false after upgrade")
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if tx.Holds("Flights") {
+		t.Error("lock still held after commit")
 	}
 }
 
+// TestUpgradeBlockedByOtherReader: of two transactions that both read a
+// table, the first to lock it for writing wins at once — the other's read
+// does not block it — and the second times out behind it.
 func TestUpgradeBlockedByOtherReader(t *testing.T) {
 	m, _ := setup(t)
-	m.LockReads = true // exercise the compatibility lock table
 	m.LockTimeout = 50 * time.Millisecond
 	tx1, tx2 := m.Begin(), m.Begin()
 	defer tx1.Rollback()
 	defer tx2.Rollback()
-	tx1.Lock("Flights", Shared)
-	tx2.Lock("Flights", Shared)
-	if err := tx1.Lock("Flights", Exclusive); !errors.Is(err, ErrLockTimeout) {
-		t.Fatalf("upgrade with other reader present: %v", err)
+	for _, tx := range []*Txn{tx1, tx2} {
+		if err := tx.Scan("Flights", func(storage.RowID, value.Tuple) bool { return true }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx1.Lock("Flights"); err != nil {
+		t.Fatalf("write lock with another reader present: %v", err)
+	}
+	if err := tx2.Lock("Flights"); !errors.Is(err, ErrLockTimeout) {
+		t.Fatalf("write lock behind another writer: %v", err)
 	}
 }
 
@@ -212,7 +241,7 @@ func TestLockAllOrderedNoDeadlock(t *testing.T) {
 			names := []string{"D", "B", "A", "C"}
 			for i := 0; i < 20; i++ {
 				tx := m.Begin()
-				if err := tx.LockAll(nil, names); err != nil {
+				if err := tx.LockAll(names); err != nil {
 					errs <- err
 					tx.Rollback()
 					return
@@ -246,7 +275,7 @@ func TestConcurrentTransfersAtomic(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 30; i++ {
 				err := m.RunAtomic(func(tx *Txn) error {
-					if err := tx.LockAll(nil, []string{"A", "B"}); err != nil {
+					if err := tx.LockAll([]string{"A", "B"}); err != nil {
 						return err
 					}
 					// Move first row of A to B if any.
@@ -333,7 +362,7 @@ func TestRunAtomicRetriesTimeouts(t *testing.T) {
 	m, _ := setup(t)
 	m.LockTimeout = 30 * time.Millisecond
 	tx := m.Begin()
-	if err := tx.Lock("Flights", Exclusive); err != nil {
+	if err := tx.Lock("Flights"); err != nil {
 		t.Fatal(err)
 	}
 	// Release the blocker after one timeout period so a retry succeeds.
@@ -342,7 +371,7 @@ func TestRunAtomicRetriesTimeouts(t *testing.T) {
 		tx.Commit()
 	}()
 	err := m.RunAtomic(func(tx2 *Txn) error {
-		return tx2.Lock("Flights", Exclusive)
+		return tx2.Lock("Flights")
 	})
 	if err != nil {
 		t.Fatalf("RunAtomic did not recover via retry: %v", err)
@@ -382,7 +411,7 @@ func TestManyTablesStress(t *testing.T) {
 				ti := (g + i) % nt
 				tj := (g + i + 3) % nt
 				err := m.RunAtomic(func(tx *Txn) error {
-					if err := tx.LockAll(nil, []string{fmt.Sprintf("T%d", ti), fmt.Sprintf("T%d", tj)}); err != nil {
+					if err := tx.LockAll([]string{fmt.Sprintf("T%d", ti), fmt.Sprintf("T%d", tj)}); err != nil {
 						return err
 					}
 					_, err := tx.Insert(fmt.Sprintf("T%d", ti), value.NewTuple(i))
