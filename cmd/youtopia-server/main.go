@@ -19,8 +19,8 @@
 // than RAM stay queryable; -pin names hot relations kept fully resident.
 // Inspect the pool live with `youtopia-admin -connect ADDR -pool`.
 //
-// With -wal the database is durably logged (segmented binary format v2,
-// legacy JSON logs migrated in place) and recovered on restart; -walsync
+// With -wal the database is durably logged (a directory of binary log
+// segments) and recovered on restart; -walsync
 // additionally group-commits an fsync at every statement boundary.
 //
 // Replication (requires -wal): -repl-listen serves the WAL-shipping stream

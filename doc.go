@@ -11,8 +11,8 @@
 // Durability: core.Config.WALPath enables the segmented binary write-ahead
 // log (on-disk format v2: length-prefixed CRC32C-checksummed records,
 // size-based segment rotation, group-committed fsyncs under WALSync,
-// background compaction, torn-tail-tolerant parallel recovery). v1 logs —
-// the original single-file JSON format — are migrated in place on open.
+// background compaction, torn-tail-tolerant parallel recovery). Logs in the
+// original single-file JSON format are refused, not read.
 //
 // Prepared statements: the dialect accepts ? / $n placeholders, and
 // core.System.Prepare compiles a statement once into a reusable handle —

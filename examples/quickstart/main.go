@@ -10,8 +10,6 @@
 // core.Config.WALPath to a directory: the system then logs every mutation
 // in the segmented binary WAL (on-disk format v2 — CRC32C-checksummed
 // records, group commit, crash recovery; see examples/durableserver).
-// Logs written by older builds in the v1 single-file JSON format are
-// migrated in place on first open.
 //
 // Run: go run ./examples/quickstart
 package main

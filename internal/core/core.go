@@ -48,18 +48,16 @@ type Config struct {
 	// appended to it. Pending (unanswered) entangled queries are deliberately
 	// volatile — they belong to live sessions.
 	//
-	// The path names a directory of binary log segments (format v2:
-	// length-prefixed, CRC32C-checksummed records; size-based rotation). A
-	// legacy single-file JSON log found at this path is migrated in place on
-	// open and absorbed by the next compaction.
+	// The path names a directory of binary log segments (length-prefixed,
+	// CRC32C-checksummed records; size-based rotation).
 	WALPath string
 	// WALSync moves the durability point to a group-committed fsync:
 	// mutations stream into the log buffer and each API-level statement
 	// (Execute/Exec/Submit, Session COMMIT) returns only after its records
 	// are on disk — one fsync is amortized across every record and every
 	// concurrent lane that reached the log meanwhile. Without it, commit
-	// batches are handed to the OS without fsync (the pre-v2 behavior:
-	// process-crash safe, not power-failure safe).
+	// batches are handed to the OS without fsync (process-crash safe, not
+	// power-failure safe).
 	WALSync bool
 	// WALSegmentBytes overrides the segment rotation threshold
 	// (0 = wal.DefaultSegmentBytes).
@@ -356,8 +354,8 @@ func (w WALStats) String() string {
 		}
 		b.WriteString(")")
 	}
-	fmt.Fprintf(&b, "\nrecovery: segments=%d records=%d torn=%v migrated=%v\n",
-		w.Recovery.Segments, w.Recovery.Records, w.Recovery.Torn, w.Recovery.Migrated)
+	fmt.Fprintf(&b, "\nrecovery: segments=%d records=%d torn=%v\n",
+		w.Recovery.Segments, w.Recovery.Records, w.Recovery.Torn)
 	for _, s := range w.Segments {
 		state := "active"
 		switch {
@@ -366,11 +364,7 @@ func (w WALStats) String() string {
 		case s.Sealed:
 			state = "sealed"
 		}
-		kind := "v2"
-		if s.JSON {
-			kind = "json"
-		}
-		fmt.Fprintf(&b, "  segment %08d  %-8s %-4s %d bytes\n", s.Seq, state, kind, s.Bytes)
+		fmt.Fprintf(&b, "  segment %08d  %-8s %d bytes\n", s.Seq, state, s.Bytes)
 	}
 	return b.String()
 }

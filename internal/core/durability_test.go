@@ -1,16 +1,13 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
-
-	"repro/internal/storage"
-	"repro/internal/value"
-	"repro/internal/wal"
 )
 
 func walSystem(t *testing.T, path string) *System {
@@ -233,50 +230,32 @@ func TestRollbackCompensationsDurable(t *testing.T) {
 	}
 }
 
-// TestLegacyJSONMigration: a system that logged with the pre-segmented JSON
-// WAL reopens through the new one, state intact, and keeps growing.
-func TestLegacyJSONMigration(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "y.wal")
-
-	// Write an old-format log directly (the legacy API is kept exactly for
-	// this migration path).
-	cat := storage.NewCatalog()
-	w, err := wal.Open(path)
-	if err != nil {
+// TestLegacyJSONLogRefused: a system whose WALPath holds a log in the
+// retired JSON-lines format — as a file at the path or as a "*.json"
+// segment in the directory — fails to start and leaves the file unchanged,
+// instead of starting an empty database beside it.
+func TestLegacyJSONLogRefused(t *testing.T) {
+	legacy := []byte(`{"op":"create","table":"T","schema":[{"name":"x","type":"INT"}]}` + "\n")
+	filePath := filepath.Join(t.TempDir(), "y.wal")
+	dirPath := filepath.Join(t.TempDir(), "y.wal")
+	if err := os.MkdirAll(dirPath, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	cat.SetLog(func(r storage.LogRecord) { w.Append(r) }) //nolint:errcheck
-	tbl, err := cat.Create("Flights", value.NewSchema(
-		value.Col("fno", value.TypeInt), value.Col("dest", value.TypeString)), "fno")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tbl.Insert(value.NewTuple(122, "Paris")) //nolint:errcheck
-	tbl.Insert(value.NewTuple(136, "Rome"))  //nolint:errcheck
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	s := walSystem(t, path)
-	res, err := s.Query("SELECT fno FROM Flights ORDER BY fno")
-	if err != nil || len(res.Rows) != 2 {
-		t.Fatalf("migrated rows = %v, %v", res, err)
-	}
-	if st, ok := s.WALStatsSnapshot(); !ok || !st.Recovery.Migrated {
-		t.Errorf("migration not reported: %+v", st.Recovery)
-	}
-	if err := s.Exec("INSERT INTO Flights VALUES (140, 'Oslo')"); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	s2 := walSystem(t, path)
-	defer s2.Close()
-	res, err = s2.Query("SELECT fno FROM Flights ORDER BY fno")
-	if err != nil || len(res.Rows) != 3 {
-		t.Errorf("post-migration rows = %v, %v", res, err)
+	for path, file := range map[string]string{
+		filePath: filePath,
+		dirPath:  filepath.Join(dirPath, "00000001.json"),
+	} {
+		if err := os.WriteFile(file, legacy, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s := NewSystem(Config{WALPath: path})
+		if err := s.Err(); err == nil || !strings.Contains(err.Error(), file) {
+			t.Errorf("WALPath %s: Err = %v, want a refusal naming %s", path, err, file)
+		}
+		s.Close() //nolint:errcheck
+		if got, err := os.ReadFile(file); err != nil || !bytes.Equal(got, legacy) {
+			t.Errorf("%s changed: %q, %v", file, got, err)
+		}
 	}
 }
 

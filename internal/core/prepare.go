@@ -126,20 +126,6 @@ func (ps *PreparedStmt) ExecuteBound(params value.Tuple, owner string) (*Respons
 	return &Response{Result: res}, nil
 }
 
-// ExecuteBoundContext is ExecuteBound with cancellation plumbing (see
-// System.ExecuteContext for the semantics).
-func (ps *PreparedStmt) ExecuteBoundContext(ctx context.Context, params value.Tuple, owner string) (*Response, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	resp, err := ps.ExecuteBound(params, owner)
-	if err != nil {
-		return nil, err
-	}
-	ps.sys.bindContext(ctx, resp)
-	return resp, nil
-}
-
 // SubmitBound binds params into the entangled template and registers the
 // query with the coordination component — the bind-many half of the
 // pipeline: no parse, no compile, just atom substitution and submission.

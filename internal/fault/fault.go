@@ -181,13 +181,6 @@ func (f *FS) MkdirAll(path string, perm os.FileMode) error {
 	return f.inner.MkdirAll(path, perm)
 }
 
-func (f *FS) Stat(name string) (os.FileInfo, error) {
-	if err := f.checkOp(); err != nil {
-		return nil, err
-	}
-	return f.inner.Stat(name)
-}
-
 func (f *FS) SyncDir(dir string) error {
 	if err := f.checkOp(); err != nil {
 		return err

@@ -404,7 +404,6 @@ func (f *frameBuf) appendAdminWAL(id uint64, st core.WALStats, durable bool) err
 		f.varint(int64(r.Segments))
 		f.bool(r.Torn)
 		f.varint(r.TornBytes)
-		f.bool(r.Migrated)
 		f.uvarint(uint64(len(st.Segments)))
 		for _, s := range st.Segments {
 			f.uvarint(s.Seq)
@@ -412,7 +411,6 @@ func (f *frameBuf) appendAdminWAL(id uint64, st core.WALStats, durable bool) err
 			f.varint(s.Bytes)
 			f.bool(s.Sealed)
 			f.bool(s.Snapshot)
-			f.bool(s.JSON)
 		}
 	}
 	return f.end()
@@ -1090,9 +1088,6 @@ func decodeAdminBody(rp *reply, r *frameReader) (err error) {
 		if rec.TornBytes, err = r.varint(); err != nil {
 			return err
 		}
-		if rec.Migrated, err = r.bool(); err != nil {
-			return err
-		}
 		n, err := r.count()
 		if err != nil {
 			return err
@@ -1112,9 +1107,6 @@ func decodeAdminBody(rp *reply, r *frameReader) (err error) {
 				return err
 			}
 			if s.Snapshot, err = r.bool(); err != nil {
-				return err
-			}
-			if s.JSON, err = r.bool(); err != nil {
 				return err
 			}
 			rp.walStats.Segments = append(rp.walStats.Segments, s)

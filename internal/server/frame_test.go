@@ -202,7 +202,7 @@ func TestFrameAdminRoundTrip(t *testing.T) {
 
 	st := core.WALStats{
 		Commits:  wal.CommitStats{Records: 100, Batches: 10, Syncs: 9, Rotations: 2, Compacts: 1},
-		Recovery: wal.RecoveryInfo{Records: 50, Segments: 3, Torn: true, TornBytes: 17, Migrated: true},
+		Recovery: wal.RecoveryInfo{Records: 50, Segments: 3, Torn: true, TornBytes: 17},
 		Segments: []wal.SegmentInfo{
 			{Seq: 1, Path: "00000001.wal", Bytes: 4096, Sealed: true, Snapshot: true},
 			{Seq: 2, Path: "00000002.wal", Bytes: 128},

@@ -1,0 +1,16 @@
+// Package wal gives the storage engine durability: a write-ahead log of
+// every applied mutation, replayed on startup to reconstruct the database.
+//
+// The log (see Log in log.go) is a directory of binary segments —
+// length-prefixed, CRC32C-checksummed records, size-based rotation,
+// group-committed fsyncs, background compaction of sealed segments, and
+// parallel torn-tail-tolerant recovery.
+//
+// The log is *physical-redo* style: every mutation is appended in apply
+// order, and rolled-back transactions appear as their operations followed
+// by the undo machinery's compensating operations, so a full replay always
+// converges to the exact pre-crash logical state. Coordination state (the
+// pending-query tables) is deliberately volatile, like the demo system:
+// pending entangled queries belong to live sessions; installed answers live
+// in ordinary tables and are durable.
+package wal

@@ -18,7 +18,6 @@ type FS interface {
 	Rename(oldpath, newpath string) error
 	Remove(name string) error
 	MkdirAll(path string, perm os.FileMode) error
-	Stat(name string) (os.FileInfo, error)
 	// SyncDir fsyncs a directory so renames and creates within it are
 	// durable. Platforms where directories cannot be synced get a pass
 	// (best effort, as in most Go WAL implementations).
@@ -54,7 +53,6 @@ func (osFS) ReadDir(name string) ([]os.DirEntry, error)   { return os.ReadDir(na
 func (osFS) Rename(oldpath, newpath string) error         { return os.Rename(oldpath, newpath) }
 func (osFS) Remove(name string) error                     { return os.Remove(name) }
 func (osFS) MkdirAll(path string, perm os.FileMode) error { return os.MkdirAll(path, perm) }
-func (osFS) Stat(name string) (os.FileInfo, error)        { return os.Stat(name) }
 
 func (osFS) SyncDir(dir string) error {
 	d, err := os.Open(dir)

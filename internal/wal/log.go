@@ -11,11 +11,10 @@ import (
 	"repro/internal/storage"
 )
 
-// Log is the segmented, group-committing write-ahead log (format v2). It
-// replaces the single JSON file of the original WAL:
+// Log is the segmented, group-committing write-ahead log:
 //
-//   - Records are length-prefixed, CRC32C-checksummed binary frames instead
-//     of JSON lines (see binary.go).
+//   - Records are length-prefixed, CRC32C-checksummed binary frames (see
+//     binary.go).
 //   - The log is a directory of segment files. The active segment rotates at
 //     Options.SegmentBytes; rotation fsyncs and seals the old segment, so
 //     everything below the tail is immutable.
@@ -26,10 +25,6 @@ import (
 //     across every lane that reached the log during the previous flush.
 //   - Sealed segments are compacted — rewritten as one snapshot segment —
 //     without quiescing writers, because appends only ever touch the tail.
-//
-// A legacy single-file JSON log found at the directory path is migrated in
-// place: the file becomes segment 1 (readable by recovery as-is) and new
-// binary segments grow behind it; the next compaction absorbs it.
 type Log struct {
 	dir  string
 	opts Options
@@ -80,7 +75,7 @@ type SyncMode int
 
 const (
 	// SyncOS hands each commit batch to the OS (one write syscall) without
-	// fsync — crash-of-process safe, matching the original WAL's behavior.
+	// fsync — crash-of-process safe.
 	SyncOS SyncMode = iota
 	// SyncAlways fsyncs each commit batch before the appenders are released —
 	// crash-of-machine safe. Group commit amortizes the fsync across every
@@ -139,17 +134,17 @@ type RecoveryInfo struct {
 	Segments  int   // segment files replayed
 	Torn      bool  // the tail segment had a torn final record
 	TornBytes int64 // bytes truncated from the tail
-	Migrated  bool  // a legacy JSON log was adopted as segment 1
 }
 
 // ErrLogClosed is returned by operations on a closed Log.
 var ErrLogClosed = errors.New("wal: log is closed")
 
-// OpenLog opens (creating or migrating as needed) the segmented log rooted
-// at dir, replays every segment into cat, truncates a torn tail, and leaves
-// the log ready for appending. Sealed segments are decoded in parallel and
-// applied in segment order. If dir names a legacy single-file JSON log, the
-// file is adopted as segment 1 first.
+// OpenLog opens (creating as needed) the segmented log rooted at dir,
+// replays every segment into cat, truncates a torn tail, and leaves the log
+// ready for appending. Sealed segments are decoded in parallel and applied
+// in segment order. A regular file at dir, or a "*.json" file inside it, is
+// refused and left untouched: both are what the retired JSON log format
+// wrote, and an empty log must not start over data it cannot read.
 func OpenLog(dir string, cat *storage.Catalog, opts Options) (*Log, error) {
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = DefaultSegmentBytes
@@ -174,36 +169,10 @@ func OpenLog(dir string, cat *storage.Catalog, opts Options) (*Log, error) {
 	return l, nil
 }
 
-// prepareDir ensures l.dir is a log directory, migrating a legacy JSON file
-// log in place. Migration is a rename chain — file → dir/00000001.json —
-// where every step is atomic and resumable after a crash.
+// prepareDir makes l.dir a durable log directory.
 func (l *Log) prepareDir() error {
-	legacy := l.dir + ".legacy"
-	if fi, err := l.fs.Stat(l.dir); err == nil && !fi.IsDir() {
-		// A legacy JSON log: move it aside, make the directory.
-		if err := l.fs.Rename(l.dir, legacy); err != nil {
-			return err
-		}
-	} else if err != nil && !errors.Is(err, os.ErrNotExist) {
-		return err
-	}
 	if err := l.fs.MkdirAll(l.dir, 0o755); err != nil {
-		return err
-	}
-	if _, err := l.fs.Stat(legacy); err == nil {
-		dst := filepath.Join(l.dir, jsonName(1))
-		if _, err := l.fs.Stat(dst); err == nil {
-			return fmt.Errorf("wal: migration conflict: both %s and %s exist", legacy, dst)
-		}
-		// Make the adopted segment durable before the rename publishes it.
-		if f, err := l.fs.OpenFile(legacy, os.O_RDONLY, 0); err == nil {
-			f.Sync() //nolint:errcheck // best effort; the data survived this long
-			f.Close()
-		}
-		if err := l.fs.Rename(legacy, dst); err != nil {
-			return err
-		}
-		l.recovered.Migrated = true
+		return fmt.Errorf("wal: log directory: %w", err)
 	}
 	if err := l.fs.SyncDir(filepath.Dir(l.dir)); err != nil {
 		return err
@@ -265,16 +234,11 @@ func (l *Log) recover(cat *storage.Catalog) error {
 			return fmt.Errorf("wal: segment %s: %w", filepath.Base(segs[i].Path), d.err)
 		}
 		if d.torn {
-			switch {
-			case segs[i].JSON:
-				// The legacy writer could always crash mid-line; its torn
-				// tail is tolerated wherever the file sits in the chain.
-			case last:
-				l.recovered.Torn = true
-				l.recovered.TornBytes = segs[i].Bytes - d.good
-			default:
+			if !last {
 				return fmt.Errorf("wal: sealed segment %s is torn at byte %d", filepath.Base(segs[i].Path), d.good)
 			}
+			l.recovered.Torn = true
+			l.recovered.TornBytes = segs[i].Bytes - d.good
 		}
 		for n, rec := range d.recs {
 			if err := apply(rec); err != nil {
@@ -289,11 +253,11 @@ func (l *Log) recover(cat *storage.Catalog) error {
 		l.fs.Remove(p) //nolint:errcheck // best effort; ignored by future recoveries anyway
 	}
 
-	// Open the tail for appending. A binary, non-snapshot tail is truncated
-	// past its last good record and continued; a JSON or snapshot tail is
-	// sealed and a fresh segment started.
+	// Open the tail for appending. A non-snapshot tail is truncated past its
+	// last good record and continued; a snapshot tail is sealed and a fresh
+	// segment started.
 	reuse := -1
-	if n := len(segs); n > 0 && !segs[n-1].JSON && !decoded[n-1].snapshot {
+	if n := len(segs); n > 0 && !decoded[n-1].snapshot {
 		reuse = n - 1
 	}
 	for i, s := range segs {
@@ -395,9 +359,8 @@ func (l *Log) Dir() string { return l.dir }
 
 // Append encodes and commits one record. Under group commit the caller
 // either leads the next flush (writing every queued record in one batch) or
-// parks until the leader's commit covers it. Errors are sticky, exactly as
-// in the original WAL: the first failure is kept and every later Append
-// returns it.
+// parks until the leader's commit covers it. Errors are sticky: the first
+// failure is kept and every later Append returns it.
 func (l *Log) Append(r storage.LogRecord) error {
 	l.mu.Lock()
 	if l.err != nil {
@@ -781,7 +744,7 @@ func (l *Log) compactSegments(segs []SegmentInfo) error {
 		if d.err != nil {
 			return fmt.Errorf("wal: compact: segment %s: %w", filepath.Base(s.Path), d.err)
 		}
-		if d.torn && !s.JSON {
+		if d.torn {
 			return fmt.Errorf("wal: compact: sealed segment %s is torn", filepath.Base(s.Path))
 		}
 		for _, rec := range d.recs {
@@ -803,7 +766,7 @@ func (l *Log) compactSegments(segs []SegmentInfo) error {
 		info.HeapPages = ps.HeapPages
 	}
 	for _, s := range segs {
-		if s.Seq == last.Seq && !s.JSON {
+		if s.Seq == last.Seq {
 			continue // replaced by the snapshot via rename
 		}
 		l.fs.Remove(s.Path) //nolint:errcheck // stale; recovery ignores leftovers

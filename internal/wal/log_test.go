@@ -397,114 +397,6 @@ func TestAutoCompactInBackground(t *testing.T) {
 	}
 }
 
-func TestMigrationFromLegacyJSON(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "y.wal")
-
-	// First life: the original JSON WAL.
-	cat := storage.NewCatalog()
-	w, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cat.SetLog(func(r storage.LogRecord) { w.Append(r) }) //nolint:errcheck
-	tbl, err := cat.Create("T", flightsSchema(), "fno")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tbl.Insert(value.NewTuple(1, "Paris")) //nolint:errcheck
-	tbl.Insert(value.NewTuple(2, "Rome"))  //nolint:errcheck
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Second life: the segmented log migrates the file in place.
-	l, cat2 := openLog(t, path, Options{})
-	if !l.Recovered().Migrated {
-		t.Error("migration not reported")
-	}
-	if fi, err := os.Stat(path); err != nil || !fi.IsDir() {
-		t.Fatalf("path is not a directory after migration: %v %v", fi, err)
-	}
-	if _, err := os.Stat(filepath.Join(path, jsonName(1))); err != nil {
-		t.Errorf("adopted JSON segment missing: %v", err)
-	}
-	attach(cat2, l)
-	tbl2, err := cat2.Get("T")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tbl2.Len() != 2 {
-		t.Fatalf("migrated rows = %d", tbl2.Len())
-	}
-	// New records land in a binary segment behind the JSON one.
-	if _, err := tbl2.Insert(value.NewTuple(3, "Oslo")); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Third life: mixed JSON + binary chain replays in order.
-	l3, cat3 := openLog(t, path, Options{})
-	tbl3, err := cat3.Get("T")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tbl3.Len() != 3 {
-		t.Fatalf("mixed-chain rows = %d", tbl3.Len())
-	}
-	// Compaction absorbs the JSON segment.
-	if err := l3.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(filepath.Join(path, jsonName(1))); !os.IsNotExist(err) {
-		t.Errorf("JSON segment survived compaction: %v", err)
-	}
-	if err := l3.Close(); err != nil {
-		t.Fatal(err)
-	}
-	l4, cat4 := openLog(t, path, Options{})
-	defer l4.Close()
-	tbl4, err := cat4.Get("T")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tbl4.Len() != 3 {
-		t.Errorf("post-compaction rows = %d", tbl4.Len())
-	}
-}
-
-// TestMigrationTornJSONTail: a legacy log that crashed mid-append migrates
-// cleanly — the torn line is dropped exactly as Recover dropped it.
-func TestMigrationTornJSONTail(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "y.wal")
-	cat := storage.NewCatalog()
-	w, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cat.SetLog(func(r storage.LogRecord) { w.Append(r) }) //nolint:errcheck
-	tbl, _ := cat.Create("T", flightsSchema())
-	tbl.Insert(value.NewTuple(1, "a")) //nolint:errcheck
-	w.Close()                          //nolint:errcheck
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.WriteString(`{"op":"insert","table":"T","rid":2,"row":[{"t":"i","i"`) //nolint:errcheck
-	f.Close()
-
-	l, cat2 := openLog(t, path, Options{})
-	defer l.Close()
-	tbl2, err := cat2.Get("T")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tbl2.Len() != 1 {
-		t.Errorf("rows = %d", tbl2.Len())
-	}
-}
-
 // TestInterruptedCompactionRecovers: a snapshot was published but the stale
 // segments it absorbed were never deleted (crash in between). Recovery must
 // start at the snapshot and ignore — then delete — the stale prefix.

@@ -2,8 +2,6 @@ package wal
 
 import (
 	"bufio"
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -16,10 +14,9 @@ import (
 )
 
 // Segment files live inside the log directory and are named by sequence
-// number: "00000001.wal" (binary, format v2) or "00000001.json" (a legacy
-// JSON log adopted during migration). Higher sequence numbers are strictly
-// newer; the highest segment is the live tail, everything below it is sealed
-// (fsynced at rotation and never written again).
+// number: "00000001.wal". Higher sequence numbers are strictly newer; the
+// highest segment is the live tail, everything below it is sealed (fsynced
+// at rotation and never written again).
 
 // SegmentInfo describes one on-disk segment (admin surface).
 type SegmentInfo struct {
@@ -28,32 +25,26 @@ type SegmentInfo struct {
 	Bytes    int64
 	Sealed   bool
 	Snapshot bool
-	JSON     bool // legacy JSON segment awaiting compaction
 }
 
-func segName(seq uint64) string  { return fmt.Sprintf("%08d.wal", seq) }
-func jsonName(seq uint64) string { return fmt.Sprintf("%08d.json", seq) }
+func segName(seq uint64) string { return fmt.Sprintf("%08d.wal", seq) }
 
-// parseSegName extracts (seq, isJSON) from a segment file name.
-func parseSegName(name string) (seq uint64, isJSON, ok bool) {
-	var ext string
-	switch {
-	case strings.HasSuffix(name, ".wal"):
-		ext = ".wal"
-	case strings.HasSuffix(name, ".json"):
-		ext = ".json"
-		isJSON = true
-	default:
-		return 0, false, false
+// parseSegName extracts the sequence number from a segment file name.
+func parseSegName(name string) (seq uint64, ok bool) {
+	if !strings.HasSuffix(name, ".wal") {
+		return 0, false
 	}
-	n, err := strconv.ParseUint(strings.TrimSuffix(name, ext), 10, 64)
+	n, err := strconv.ParseUint(strings.TrimSuffix(name, ".wal"), 10, 64)
 	if err != nil || n == 0 {
-		return 0, false, false
+		return 0, false
 	}
-	return n, isJSON, true
+	return n, true
 }
 
-// listSegments returns the segments in dir in replay (sequence) order.
+// listSegments returns the segments in dir in replay (sequence) order. A
+// "*.json" file is refused rather than skipped: it may be a segment of the
+// retired JSON log format, and starting an empty log beside it would hide
+// its data.
 func listSegments(fsys FS, dir string) ([]SegmentInfo, error) {
 	ents, err := fsys.ReadDir(dir)
 	if err != nil {
@@ -64,7 +55,11 @@ func listSegments(fsys FS, dir string) ([]SegmentInfo, error) {
 		if e.IsDir() {
 			continue
 		}
-		seq, isJSON, ok := parseSegName(e.Name())
+		if strings.HasSuffix(e.Name(), ".json") {
+			return nil, fmt.Errorf("wal: %s is a JSON log file, a format this version does not read",
+				filepath.Join(dir, e.Name()))
+		}
+		seq, ok := parseSegName(e.Name())
 		if !ok {
 			continue // tmp files, strays
 		}
@@ -72,23 +67,13 @@ func listSegments(fsys FS, dir string) ([]SegmentInfo, error) {
 		if err != nil {
 			return nil, err
 		}
-		segs = append(segs, SegmentInfo{
-			Seq: seq, Path: filepath.Join(dir, e.Name()),
-			Bytes: info.Size(), JSON: isJSON,
-		})
+		segs = append(segs, SegmentInfo{Seq: seq, Path: filepath.Join(dir, e.Name()), Bytes: info.Size()})
 	}
-	// A .json/.wal twin at the same sequence is a compaction interrupted
-	// between publishing the snapshot and removing the absorbed JSON
-	// segment: the JSON sorts first and recovery's snapshot pruning drops
-	// it. Same-type duplicates cannot happen and are reported.
-	sort.Slice(segs, func(i, j int) bool {
-		if segs[i].Seq != segs[j].Seq {
-			return segs[i].Seq < segs[j].Seq
-		}
-		return segs[i].JSON && !segs[j].JSON
-	})
+	// "1.wal" and "00000001.wal" both parse as sequence 1; such twins are
+	// never written by the log and are reported.
+	sort.Slice(segs, func(i, j int) bool { return segs[i].Seq < segs[j].Seq })
 	for i := 1; i < len(segs); i++ {
-		if segs[i].Seq == segs[i-1].Seq && segs[i].JSON == segs[i-1].JSON {
+		if segs[i].Seq == segs[i-1].Seq {
 			return nil, fmt.Errorf("wal: duplicate segment sequence %d (%s and %s)",
 				segs[i].Seq, segs[i-1].Path, segs[i].Path)
 		}
@@ -123,47 +108,11 @@ func decodeSegmentBytes(data []byte) segmentDecode {
 	}
 }
 
-// decodeJSONSegment decodes a legacy JSON-lines log adopted as a segment.
-// A torn final line is tolerated (the old writer could crash mid-append);
-// anything malformed before that is corruption, exactly as in Recover.
-func decodeJSONSegment(data []byte) segmentDecode {
-	var recs []storage.LogRecord
-	off := 0
-	for off < len(data) {
-		nl := bytes.IndexByte(data[off:], '\n')
-		if nl < 0 {
-			return segmentDecode{recs: recs, good: int64(off), torn: true}
-		}
-		line := data[off : off+nl]
-		if len(line) > 0 {
-			var j jsonRecord
-			if err := json.Unmarshal(line, &j); err != nil {
-				if off+nl+1 >= len(data) {
-					return segmentDecode{recs: recs, good: int64(off), torn: true}
-				}
-				return segmentDecode{recs: recs, good: int64(off),
-					err: fmt.Errorf("wal: corrupt JSON record %d: %w", len(recs)+1, err)}
-			}
-			rec, err := decodeJSONRecord(j)
-			if err != nil {
-				return segmentDecode{recs: recs, good: int64(off),
-					err: fmt.Errorf("wal: JSON record %d: %w", len(recs)+1, err)}
-			}
-			recs = append(recs, rec)
-		}
-		off += nl + 1
-	}
-	return segmentDecode{recs: recs, good: int64(off)}
-}
-
 // decodeSegmentFile reads and decodes one segment.
 func decodeSegmentFile(fsys FS, seg SegmentInfo) segmentDecode {
 	data, err := fsys.ReadFile(seg.Path)
 	if err != nil {
 		return segmentDecode{err: err}
-	}
-	if seg.JSON {
-		return decodeJSONSegment(data)
 	}
 	return decodeSegmentBytes(data)
 }

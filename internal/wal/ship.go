@@ -221,11 +221,6 @@ func (l *Log) ShipHandshake(pos Position, tailSnapshot bool) (segs []SegmentInfo
 	chain = append(chain, SegmentInfo{
 		Seq: l.seq, Path: filepath.Join(l.dir, segName(l.seq)), Bytes: l.size,
 	})
-	for _, s := range chain {
-		if s.JSON {
-			return nil, nil, false, fmt.Errorf("wal: cannot ship legacy JSON segment %s; compact first", filepath.Base(s.Path))
-		}
-	}
 	reset = true
 	start := 0
 	for i, s := range chain {
@@ -321,7 +316,7 @@ func (l *Log) IngestReset() error {
 			continue
 		}
 		name := e.Name()
-		_, _, seg := parseSegName(name)
+		_, seg := parseSegName(name)
 		if !seg && !strings.HasSuffix(name, ".tmp") {
 			continue
 		}

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -10,37 +11,46 @@ import (
 	"repro/internal/value"
 )
 
-func tmpWAL(t *testing.T) string {
+// loggedCatalog opens a fresh log at dir and wires every catalog mutation
+// into it.
+func loggedCatalog(t *testing.T, dir string) (*storage.Catalog, *Log) {
 	t.Helper()
-	return filepath.Join(t.TempDir(), "youtopia.wal")
+	l, cat := openLog(t, dir, Options{})
+	attach(cat, l)
+	return cat, l
 }
 
-func loggedCatalog(t *testing.T, path string) (*storage.Catalog, *WAL) {
+// reopen replays the closed log at dir into a fresh catalog.
+func reopen(t *testing.T, dir string) (*storage.Catalog, RecoveryInfo) {
 	t.Helper()
-	cat := storage.NewCatalog()
-	w, err := Open(path)
-	if err != nil {
+	l, cat := openLog(t, dir, Options{})
+	info := l.Recovered()
+	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	cat.SetLog(func(r storage.LogRecord) { w.Append(r) }) //nolint:errcheck
-	return cat, w
+	return cat, info
 }
 
 func flightsSchema() *value.Schema {
 	return value.NewSchema(value.Col("fno", value.TypeInt), value.Col("dest", value.TypeString))
 }
 
+// TestRecoverMissingFile: a log path that does not exist yet is a fresh
+// database — OpenLog creates the directory and replays nothing.
 func TestRecoverMissingFile(t *testing.T) {
-	cat := storage.NewCatalog()
-	n, err := Recover(filepath.Join(t.TempDir(), "absent.wal"), cat)
-	if err != nil || n != 0 {
-		t.Fatalf("n=%d err=%v", n, err)
+	dir := filepath.Join(t.TempDir(), "absent")
+	cat, info := reopen(t, dir)
+	if info.Records != 0 || info.Segments != 0 || len(cat.Names()) != 0 {
+		t.Fatalf("recovered %+v, tables %v", info, cat.Names())
+	}
+	if fi, err := os.Stat(dir); err != nil || !fi.IsDir() {
+		t.Fatalf("log directory not created: %v %v", fi, err)
 	}
 }
 
 func TestLogAndRecoverRoundTrip(t *testing.T) {
-	path := tmpWAL(t)
-	cat, w := loggedCatalog(t, path)
+	dir := filepath.Join(t.TempDir(), "wal")
+	cat, l := loggedCatalog(t, dir)
 
 	tbl, err := cat.Create("Flights", flightsSchema(), "fno")
 	if err != nil {
@@ -54,18 +64,14 @@ func TestLogAndRecoverRoundTrip(t *testing.T) {
 	tbl.Update(id2, value.NewTuple(136, "Milan")) //nolint:errcheck
 	id3, _ := tbl.Insert(value.NewTuple(140, "Oslo"))
 	tbl.Delete(id3) //nolint:errcheck
-	if err := w.Close(); err != nil {
+	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	// Recover into a fresh catalog.
-	cat2 := storage.NewCatalog()
-	n, err := Recover(path, cat2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 7 { // create, index, ins, ins, upd, ins, del
-		t.Errorf("applied %d records", n)
+	cat2, info := reopen(t, dir)
+	if info.Records != 7 { // create, index, ins, ins, upd, ins, del
+		t.Errorf("applied %d records", info.Records)
 	}
 	tbl2, err := cat2.Get("Flights")
 	if err != nil {
@@ -101,70 +107,23 @@ func TestLogAndRecoverRoundTrip(t *testing.T) {
 }
 
 func TestRecoverDrop(t *testing.T) {
-	path := tmpWAL(t)
-	cat, w := loggedCatalog(t, path)
+	dir := filepath.Join(t.TempDir(), "wal")
+	cat, l := loggedCatalog(t, dir)
 	cat.Create("Tmp", flightsSchema())  //nolint:errcheck
 	cat.Drop("Tmp")                     //nolint:errcheck
 	cat.Create("Keep", flightsSchema()) //nolint:errcheck
-	w.Close()                           //nolint:errcheck
-	cat2 := storage.NewCatalog()
-	if _, err := Recover(path, cat2); err != nil {
+	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
+	cat2, _ := reopen(t, dir)
 	if cat2.Has("Tmp") || !cat2.Has("Keep") {
 		t.Errorf("names = %v", cat2.Names())
 	}
 }
 
-func TestTornFinalRecordTolerated(t *testing.T) {
-	path := tmpWAL(t)
-	cat, w := loggedCatalog(t, path)
-	cat.Create("T", flightsSchema()) //nolint:errcheck
-	tbl, _ := cat.Get("T")
-	tbl.Insert(value.NewTuple(1, "a")) //nolint:errcheck
-	w.Close()                          //nolint:errcheck
-
-	// Simulate a crash mid-append: a torn, non-JSON tail.
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.WriteString(`{"op":"insert","table":"T","rid":2,"row":[{"t":"i","i"`) //nolint:errcheck
-	f.Close()
-
-	cat2 := storage.NewCatalog()
-	n, err := Recover(path, cat2)
-	if err != nil {
-		t.Fatalf("torn tail should be tolerated: %v", err)
-	}
-	if n != 2 {
-		t.Errorf("applied %d", n)
-	}
-	tbl2, _ := cat2.Get("T")
-	if tbl2.Len() != 1 {
-		t.Errorf("rows = %d", tbl2.Len())
-	}
-}
-
-func TestMidFileCorruptionFailsRecovery(t *testing.T) {
-	path := tmpWAL(t)
-	cat, w := loggedCatalog(t, path)
-	cat.Create("T", flightsSchema()) //nolint:errcheck
-	w.Close()                        //nolint:errcheck
-
-	data, _ := os.ReadFile(path)
-	corrupted := "GARBAGE NOT JSON\n" + string(data)
-	os.WriteFile(path, []byte(corrupted), 0o644) //nolint:errcheck
-
-	cat2 := storage.NewCatalog()
-	if _, err := Recover(path, cat2); err == nil {
-		t.Error("mid-file corruption not detected")
-	}
-}
-
 func TestValueTaggedRoundTrip(t *testing.T) {
-	path := tmpWAL(t)
-	cat, w := loggedCatalog(t, path)
+	dir := filepath.Join(t.TempDir(), "wal")
+	cat, l := loggedCatalog(t, dir)
 	schema := value.NewSchema(
 		value.Col("i", value.TypeInt), value.Col("f", value.TypeFloat),
 		value.Col("s", value.TypeString), value.Col("b", value.TypeBool),
@@ -177,12 +136,11 @@ func TestValueTaggedRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.Close() //nolint:errcheck
-
-	cat2 := storage.NewCatalog()
-	if _, err := Recover(path, cat2); err != nil {
+	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
+
+	cat2, _ := reopen(t, dir)
 	tbl2, _ := cat2.Get("V")
 	row, err := tbl2.Get(id)
 	if err != nil {
@@ -196,8 +154,8 @@ func TestValueTaggedRoundTrip(t *testing.T) {
 func TestRolledBackTxnConvergesOnReplay(t *testing.T) {
 	// The log records both the mutation and its compensation; replay must
 	// converge to the committed state only.
-	path := tmpWAL(t)
-	cat, w := loggedCatalog(t, path)
+	dir := filepath.Join(t.TempDir(), "wal")
+	cat, l := loggedCatalog(t, dir)
 	cat.Create("T", flightsSchema()) //nolint:errcheck
 	tbl, _ := cat.Get("T")
 	keep, _ := tbl.Insert(value.NewTuple(1, "keep"))
@@ -207,12 +165,11 @@ func TestRolledBackTxnConvergesOnReplay(t *testing.T) {
 	tbl.Delete(id) //nolint:errcheck
 	old, _ := tbl.Delete(keep)
 	tbl.RestoreAt(keep, old) //nolint:errcheck
-	w.Close()                //nolint:errcheck
-
-	cat2 := storage.NewCatalog()
-	if _, err := Recover(path, cat2); err != nil {
+	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
+
+	cat2, _ := reopen(t, dir)
 	tbl2, _ := cat2.Get("T")
 	if tbl2.Len() != 1 {
 		t.Fatalf("rows = %d", tbl2.Len())
@@ -223,29 +180,69 @@ func TestRolledBackTxnConvergesOnReplay(t *testing.T) {
 	}
 }
 
-func TestAppendAfterCloseSticks(t *testing.T) {
-	path := tmpWAL(t)
-	w, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	w.Close() //nolint:errcheck
-	if err := w.Append(storage.LogRecord{Op: storage.OpDropTable, Table: "x"}); err == nil {
-		t.Error("append after close succeeded")
-	}
-	if w.Err() == nil {
-		t.Error("sticky error not set")
+func TestRecoverUnknownOp(t *testing.T) {
+	err := applyRecord(storage.NewCatalog(), storage.LogRecord{Op: "explode", Table: "T"})
+	if err == nil || !strings.Contains(err.Error(), "unknown op") {
+		t.Errorf("err = %v", err)
 	}
 }
 
-func TestRecoverUnknownOp(t *testing.T) {
-	path := tmpWAL(t)
-	os.WriteFile(path, []byte(`{"op":"explode","table":"T"}`+"\n{}\n"), 0o644) //nolint:errcheck
-	if _, err := Recover(path, storage.NewCatalog()); err == nil || !strings.Contains(err.Error(), "unknown op") {
-		t.Errorf("err = %v", err)
+// TestLegacyJSONRefused: the retired JSON-lines log format is not read, and
+// must not be mistaken for an empty log either — a JSON file at the log
+// path, or a "*.json" segment inside the log directory, fails OpenLog with
+// an error naming it and is left byte-identical.
+func TestLegacyJSONRefused(t *testing.T) {
+	legacy := []byte(`{"op":"create","table":"T","schema":[{"name":"fno","type":"INT"}]}` + "\n" +
+		`{"op":"insert","table":"T","rid":1,"row":[{"t":"i","i":122}]}` + "\n")
+
+	t.Run("file at path", func(t *testing.T) {
+		base := t.TempDir()
+		path := filepath.Join(base, "y.wal")
+		if err := os.WriteFile(path, legacy, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := OpenLog(path, storage.NewCatalog(), Options{})
+		if err == nil || !strings.Contains(err.Error(), path) {
+			t.Fatalf("OpenLog err = %v, want a refusal naming %s", err, path)
+		}
+		assertUntouched(t, base, "y.wal", path, legacy)
+	})
+
+	t.Run("segment in dir", func(t *testing.T) {
+		dir := filepath.Join(t.TempDir(), "wal")
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		seg := filepath.Join(dir, "00000001.json")
+		if err := os.WriteFile(seg, legacy, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := OpenLog(dir, storage.NewCatalog(), Options{})
+		if err == nil || !strings.Contains(err.Error(), seg) {
+			t.Fatalf("OpenLog err = %v, want a refusal naming %s", err, seg)
+		}
+		assertUntouched(t, dir, "00000001.json", seg, legacy)
+	})
+}
+
+// assertUntouched checks that dir holds exactly the one entry name and that
+// path still has the bytes want.
+func assertUntouched(t *testing.T, dir, name, path string, want []byte) {
+	t.Helper()
+	got, err := os.ReadFile(path)
+	if err != nil || !bytes.Equal(got, want) {
+		t.Errorf("%s changed: %q, %v", path, got, err)
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != 1 || ents[0].Name() != name {
+		var names []string
+		for _, e := range ents {
+			names = append(names, e.Name())
+		}
+		t.Errorf("%s holds %v, want only %s", dir, names, name)
 	}
 }
 

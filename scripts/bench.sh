@@ -8,22 +8,21 @@
 #                                    # frozen baseline's warmup amortization
 #
 # Environment:
-#   OUT=path.json   output file (default BENCH_PR10.json at the repo root)
+#   OUT=path.json   output file (default BENCH.json at the repo root)
 #
 # Benchmarks run at -cpu 1 so allocs/op — the container-stable metric the
 # perf gate (bench_gate.sh) compares — is deterministic across machines with
 # different core counts (lane counts default to GOMAXPROCS). ns/op remains
 # report-only. E11 raises GOMAXPROCS internally for its 8 durable writers.
 #
-# If scripts/bench_baseline_pr10.json exists (the frozen pre-PR-10 numbers,
-# plus the E19 concurrent-cold-scan benchmark frozen at its introduction),
-# its contents are embedded under "baseline" so before/after always travel
+# If scripts/bench_baseline.json exists (the frozen allocs/op baseline), its
+# contents are embedded under "baseline" so before/after always travel
 # together in one artifact.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 benchtime="${1:-20x}"
-out="${OUT:-BENCH_PR10.json}"
+out="${OUT:-BENCH.json}"
 raw="$(go test -run '^$' -bench 'BenchmarkE[0-9]+_' -benchmem -benchtime "$benchtime" -cpu 1 .)"
 echo "$raw"
 
@@ -49,7 +48,7 @@ for line in raw.splitlines():
         current[name] = entry
 
 doc = {"benchtime": os.environ["BENCH_TIME"], "current": current}
-base_path = os.path.join("scripts", "bench_baseline_pr10.json")
+base_path = os.path.join("scripts", "bench_baseline.json")
 if os.path.exists(base_path):
     with open(base_path) as f:
         doc["baseline"] = json.load(f)

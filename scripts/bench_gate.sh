@@ -8,11 +8,11 @@
 # revision; ns/op swings ±50% on shared runners and is reported only.
 #
 # Usage:
-#   scripts/bench_gate.sh [artifact.json]   # default BENCH_PR10.json
+#   scripts/bench_gate.sh [artifact.json]   # default BENCH.json
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-artifact="${1:-BENCH_PR10.json}"
+artifact="${1:-BENCH.json}"
 if [ ! -f "$artifact" ]; then
   echo "bench_gate: $artifact not found — run scripts/bench.sh first" >&2
   exit 1
