@@ -477,13 +477,11 @@ func (t *Table) detachHeap() bool {
 	if t.heap == nil {
 		return false
 	}
-	for _, h := range t.rows {
-		for v := h; v != nil; v = v.prev {
-			if v.tup == nil {
-				v.tup = heapMustLoad(t.heap, v.ref)
-			}
+	t.eachVersion(func(_ RowID, v *version) {
+		if v.tup == nil {
+			v.tup = heapMustLoad(t.heap, v.ref)
 		}
-	}
+	})
 	t.heap = nil
 	return true
 }

@@ -13,6 +13,7 @@
 package storage
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -233,11 +234,9 @@ func (t *Table) CreateIndexNamed(name string, cols ...string) error {
 	}
 	ix := newHashIndex(offs)
 	ix.name = name
-	for id, h := range t.rows {
-		for v := h; v != nil; v = v.prev {
-			ix.add(id, t.tupleOf(v)) // cover every version so old snapshots probe correctly
-		}
-	}
+	t.eachVersion(func(id RowID, v *version) {
+		ix.add(id, t.tupleOf(v)) // cover every version so old snapshots probe correctly
+	})
 	t.indexes[key] = ix
 	t.log.emit(LogRecord{Op: OpCreateIndex, Table: t.name, Cols: cols, Index: name})
 	return nil
@@ -306,6 +305,35 @@ func (t *Table) tupleOf(v *version) value.Tuple {
 		return v.tup
 	}
 	return heapMustLoad(t.heap, v.ref)
+}
+
+// eachVersion calls fn for every stored version of every row, resident
+// versions first and spilled ones in heap order (page, then offset). A
+// whole-table pass that resolves tuples — an index build, detachHeap —
+// therefore reads each heap page through the pool once, where walking the
+// rows map would fault a page in per version. fn may materialize the version
+// it is given. Caller holds t.mu.
+func (t *Table) eachVersion(fn func(id RowID, v *version)) {
+	type rowVersion struct {
+		id RowID
+		v  *version
+	}
+	var spilled []rowVersion
+	for id, h := range t.rows {
+		for v := h; v != nil; v = v.prev {
+			if v.tup != nil {
+				fn(id, v)
+			} else {
+				spilled = append(spilled, rowVersion{id, v})
+			}
+		}
+	}
+	slices.SortFunc(spilled, func(a, b rowVersion) int {
+		return cmp.Or(cmp.Compare(a.v.ref.page, b.v.ref.page), cmp.Compare(a.v.ref.off, b.v.ref.off))
+	})
+	for _, rv := range spilled {
+		fn(rv.id, rv.v)
+	}
 }
 
 // materialize loads a spilled version's tuple back into memory — the

@@ -1,9 +1,11 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/storage"
@@ -123,9 +125,12 @@ func TestRecoverEveryTruncationPoint(t *testing.T) {
 	}
 }
 
-// TestRecoverEveryByteFlip flips each byte of the tail segment in turn: the
-// CRC (or an impossible length) must catch it, and replay must yield a clean
-// prefix of the original records — never an error, never a mangled row.
+// TestRecoverEveryByteFlip flips each byte of the tail segment in turn. A
+// flip inside the segment header is corruption of a segment that holds
+// records: recovery must fail, name the segment and leave the file
+// byte-identical. A flip past the header must be caught by the CRC (or an
+// impossible length), and replay must yield a clean prefix of the original
+// records — never an error, never a mangled row.
 func TestRecoverEveryByteFlip(t *testing.T) {
 	data, _ := buildSegment(t, 5)
 	base := t.TempDir()
@@ -139,11 +144,26 @@ func TestRecoverEveryByteFlip(t *testing.T) {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(filepath.Join(dir, segName(1)), mut, 0o644); err != nil {
+		path := filepath.Join(dir, segName(1))
+		if err := os.WriteFile(path, mut, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		cat := storage.NewCatalog()
 		l, err := OpenLog(dir, cat, Options{})
+		if i < segHeaderLen {
+			if err == nil {
+				l.Close() //nolint:errcheck
+				t.Fatalf("flip@%d: header corruption recovered %d records, want an error",
+					i, l.Recovered().Records)
+			}
+			if !strings.Contains(err.Error(), segName(1)) {
+				t.Fatalf("flip@%d: error does not name the segment: %v", i, err)
+			}
+			if got, rerr := os.ReadFile(path); rerr != nil || !bytes.Equal(got, mut) {
+				t.Fatalf("flip@%d: failed recovery modified the segment (%v)", i, rerr)
+			}
+			continue
+		}
 		if err != nil {
 			t.Fatalf("flip@%d: %v", i, err)
 		}
@@ -159,6 +179,37 @@ func TestRecoverEveryByteFlip(t *testing.T) {
 			})
 		}
 		l.Close() //nolint:errcheck
+	}
+}
+
+// TestSegmentHeaderTornOrCorrupt pins where a damaged header stops being a
+// torn write: a header that is short, all zero, or garbled with nothing
+// behind it is torn at offset 0; a garbled header with records behind it is
+// corruption.
+func TestSegmentHeaderTornOrCorrupt(t *testing.T) {
+	data, _ := buildSegment(t, 3)
+	garbled := append([]byte(nil), data...)
+	garbled[5] ^= 0x01 // flags byte: checksum no longer matches
+	zeroed := append(make([]byte, segHeaderLen), data[segHeaderLen:]...)
+	for _, tc := range []struct {
+		name    string
+		data    []byte
+		corrupt bool
+	}{
+		{"empty", nil, false},
+		{"short", data[:segHeaderLen-1], false},
+		{"zero header", zeroed, false},
+		{"garbled header alone", garbled[:segHeaderLen], false},
+		{"garbled header with records", garbled, true},
+	} {
+		d := decodeSegmentBytes(tc.data)
+		if tc.corrupt {
+			if d.err == nil || d.torn || len(d.recs) != 0 {
+				t.Errorf("%s: err=%v torn=%v records=%d, want corruption", tc.name, d.err, d.torn, len(d.recs))
+			}
+		} else if d.err != nil || !d.torn || d.good != 0 {
+			t.Errorf("%s: err=%v torn=%v good=%d, want torn at 0", tc.name, d.err, d.torn, d.good)
+		}
 	}
 }
 

@@ -91,15 +91,21 @@ type segmentDecode struct {
 }
 
 // decodeSegmentBytes decodes a binary segment image (header + records).
-// A header that is missing or garbled counts as torn at offset 0 — the
-// signature of a crash immediately after segment creation.
+// A header that is short, all zero bytes, or garbled with nothing after it
+// counts as torn at offset 0 — the signature of a crash immediately after
+// segment creation. A complete, non-zero header that fails validation and is
+// followed by records is corruption: treating it as torn would truncate every
+// record behind it.
 func decodeSegmentBytes(data []byte) segmentDecode {
-	if len(data) < segHeaderLen {
+	if len(data) < segHeaderLen || [segHeaderLen]byte(data) == [segHeaderLen]byte{} {
 		return segmentDecode{torn: true}
 	}
 	flags, err := parseSegHeader(data)
 	if err != nil {
-		return segmentDecode{torn: true}
+		if len(data) == segHeaderLen {
+			return segmentDecode{torn: true}
+		}
+		return segmentDecode{err: err}
 	}
 	recs, good, torn, derr := decodeRecords(data[segHeaderLen:])
 	return segmentDecode{
@@ -118,8 +124,8 @@ func decodeSegmentFile(fsys FS, seg SegmentInfo) segmentDecode {
 }
 
 // writeSnapshotSegment writes a snapshot-flagged segment holding the minimal
-// record sequence that recreates cat (one create per table, its indexes, one
-// insert per live row), through a temp file, fsync and rename. It returns
+// record sequence that recreates cat (one create per table, one insert per
+// live row, then its indexes), through a temp file, fsync and rename. It returns
 // the final file size.
 func writeSnapshotSegment(fsys FS, dir string, seq uint64, cat *storage.Catalog) (int64, error) {
 	tmp := filepath.Join(dir, segName(seq)+".tmp")
@@ -182,15 +188,6 @@ func snapshotRecords(cat *storage.Catalog, emit func(storage.LogRecord) error) e
 		}); err != nil {
 			return err
 		}
-		for _, ix := range tbl.IndexMeta() {
-			op := storage.OpCreateIndex
-			if ix.Ordered {
-				op = storage.OpCreateOrderedIndex
-			}
-			if err := emit(storage.LogRecord{Op: op, Table: tbl.Name(), Cols: ix.Cols, Index: ix.Name}); err != nil {
-				return err
-			}
-		}
 		// StreamAt keeps O(1) tuples materialized while walking a spilled
 		// table — essential when the scratch catalog runs with a bounded
 		// pool — and the scratch is quiescent, its only consistency
@@ -202,6 +199,17 @@ func snapshotRecords(cat *storage.Catalog, emit func(storage.LogRecord) error) e
 		})
 		if scanErr != nil {
 			return scanErr
+		}
+		// Indexes follow the rows, so replay builds each one with a single
+		// sort instead of maintaining it row by row.
+		for _, ix := range tbl.IndexMeta() {
+			op := storage.OpCreateIndex
+			if ix.Ordered {
+				op = storage.OpCreateOrderedIndex
+			}
+			if err := emit(storage.LogRecord{Op: op, Table: tbl.Name(), Cols: ix.Cols, Index: ix.Name}); err != nil {
+				return err
+			}
 		}
 	}
 	// Preserve the MVCC commit clock across compaction: replaying the
