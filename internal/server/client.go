@@ -131,7 +131,7 @@ func (c *Client) MaxInFlight() int {
 
 func (c *Client) readLoop() {
 	defer close(c.done)
-	br := bufio.NewReaderSize(c.conn, 64<<10)
+	br := bufio.NewReader(c.conn)
 	var rbuf []byte
 	for {
 		payload, err := readFrame(br, rbuf)

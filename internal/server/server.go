@@ -284,7 +284,7 @@ func (s *Server) handle(c net.Conn) {
 		cn.stmts = nil
 	}()
 
-	cn.serveV2(bufio.NewReaderSize(c, 64<<10))
+	cn.serveV2(bufio.NewReader(c))
 }
 
 // serveV2 checks the preamble, then reads and dispatches frames until the

@@ -79,11 +79,33 @@ type Table struct {
 type hashIndex struct {
 	cols []int
 	name string // user-assigned index name, "" when unnamed
-	m    map[string]map[RowID]struct{}
+	m    map[string]posting
+}
+
+// posting is the set of rows under one index key. Most keys hold one row
+// (every primary key, every traveler name in an answer relation), so that row
+// is stored inline and only a second row under the same key allocates the
+// overflow set. RowIDs start at 1, so one == 0 means empty; an empty posting
+// is never stored.
+type posting struct {
+	one  RowID
+	more map[RowID]struct{}
+}
+
+// all yields each row of the posting once, in no particular order.
+func (p posting) all(yield func(RowID) bool) {
+	if p.one == 0 || !yield(p.one) {
+		return
+	}
+	for id := range p.more {
+		if !yield(id) {
+			return
+		}
+	}
 }
 
 func newHashIndex(cols []int) *hashIndex {
-	return &hashIndex{cols: cols, m: make(map[string]map[RowID]struct{})}
+	return &hashIndex{cols: cols, m: make(map[string]posting)}
 }
 
 // appendKey renders the projection's key for the row into b — no
@@ -111,25 +133,49 @@ func (ix *hashIndex) keyMatches(t value.Tuple, k string) bool {
 }
 
 // add is idempotent: a row whose versions share the key is recorded once.
+// Only a key seen for the first time, or a second row under a key, stores
+// anything; re-adding a known (key, row) allocates nothing.
 func (ix *hashIndex) add(id RowID, t value.Tuple) {
-	k := ix.key(t)
-	s := ix.m[k]
-	if s == nil {
-		s = make(map[RowID]struct{})
-		ix.m[k] = s
+	var kb [64]byte
+	b := ix.appendKey(kb[:0], t)
+	p, ok := ix.m[string(b)]
+	switch {
+	case !ok:
+		ix.m[string(b)] = posting{one: id}
+	case p.one == id:
+	case p.more != nil:
+		p.more[id] = struct{}{}
+	default:
+		ix.m[string(b)] = posting{one: p.one, more: map[RowID]struct{}{id: {}}}
 	}
-	s[id] = struct{}{}
 }
 
 // removeKey drops id from the key's entry; GC calls it once no version of
-// the row carries the key anymore.
+// the row carries the key anymore. Removing the inline row promotes an
+// overflow row, and a key left with no rows is deleted.
 func (ix *hashIndex) removeKey(k string, id RowID) {
-	if s := ix.m[k]; s != nil {
-		delete(s, id)
-		if len(s) == 0 {
-			delete(ix.m, k)
-		}
+	p, ok := ix.m[k]
+	if !ok {
+		return
 	}
+	if p.one == id {
+		p.one = 0
+		for o := range p.more {
+			p.one = o
+			delete(p.more, o)
+			break
+		}
+	} else {
+		delete(p.more, id)
+	}
+	switch {
+	case p.one == 0:
+		delete(ix.m, k)
+		return
+	case len(p.more) == 0:
+		p.more = nil
+	}
+	ix.m[k] = p
 }
 
 // NewTable creates a table with the given schema. pkCols, if non-empty, names
@@ -380,7 +426,7 @@ func headLive(h *version, w *Writer) bool {
 // pkOccupied reports whether primary-key k is currently taken by a live row
 // other than skip. Caller holds t.mu.
 func (t *Table) pkOccupied(k string, w *Writer, skip RowID) bool {
-	for id := range t.pk.m[k] {
+	for id := range t.pk.m[k].all {
 		if id == skip {
 			continue
 		}
@@ -784,7 +830,7 @@ func (t *Table) LookupEqAppendAt(s Snapshot, dst []RowID, cols []int, key value.
 		var kb [64]byte
 		k := string(key.AppendKey(kb[:0]))
 		start := len(dst)
-		for id := range ix.m[k] {
+		for id := range ix.m[k].all {
 			if v := visibleVersion(t.rows[id], s); v != nil && ix.keyMatches(t.tupleOf(v), k) {
 				dst = append(dst, id)
 			}
@@ -821,7 +867,7 @@ func (t *Table) LookupPKAt(s Snapshot, key value.Tuple) (RowID, value.Tuple, boo
 	}
 	var kb [64]byte
 	k := string(key.AppendKey(kb[:0]))
-	for id := range t.pk.m[k] {
+	for id := range t.pk.m[k].all {
 		if v := visibleVersion(t.rows[id], s); v != nil {
 			tup := t.tupleOf(v)
 			if !t.pk.keyMatches(tup, k) {
@@ -899,8 +945,7 @@ func (t *Table) gc(wm uint64) (reclaimed int) {
 func (t *Table) dropKeys(id RowID, dead *version, head *version) {
 	deadTup := t.tupleOf(dead)
 	drop := func(ix *hashIndex) {
-		var kb [64]byte
-		k := string(ix.appendKey(kb[:0], deadTup))
+		k := ix.key(deadTup)
 		for v := head; v != nil; v = v.prev {
 			if v != dead && ix.keyMatches(t.tupleOf(v), k) {
 				return

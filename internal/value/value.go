@@ -68,12 +68,12 @@ func ParseType(name string) (Type, error) {
 //
 // Value is a small immutable struct passed by value everywhere; it never
 // aliases mutable state, so tuples can be shared freely across goroutines
-// once published.
+// once published. It is 32 bytes: a FLOAT keeps its IEEE-754 bits in i,
+// read back through fl.
 type Value struct {
 	typ Type
-	i   int64   // TypeInt and TypeBool (0/1)
-	f   float64 // TypeFloat
-	s   string  // TypeString
+	i   int64  // TypeInt, TypeBool (0/1), and TypeFloat's bits
+	s   string // TypeString
 }
 
 // Null is the NULL value.
@@ -83,7 +83,7 @@ var Null = Value{}
 func NewInt(v int64) Value { return Value{typ: TypeInt, i: v} }
 
 // NewFloat returns a float value.
-func NewFloat(v float64) Value { return Value{typ: TypeFloat, f: v} }
+func NewFloat(v float64) Value { return Value{typ: TypeFloat, i: int64(math.Float64bits(v))} }
 
 // NewString returns a string value.
 func NewString(v string) Value { return Value{typ: TypeString, s: v} }
@@ -96,6 +96,9 @@ func NewBool(v bool) Value {
 	}
 	return Value{typ: TypeBool, i: i}
 }
+
+// fl is a FLOAT's payload.
+func (v Value) fl() float64 { return math.Float64frombits(uint64(v.i)) }
 
 // Type reports the value's type.
 func (v Value) Type() Type { return v.typ }
@@ -116,7 +119,7 @@ func (v Value) Int() int64 {
 func (v Value) Float() float64 {
 	switch v.typ {
 	case TypeFloat:
-		return v.f
+		return v.fl()
 	case TypeInt:
 		return float64(v.i)
 	default:
@@ -148,7 +151,7 @@ func (v Value) String() string {
 	case TypeInt:
 		return strconv.FormatInt(v.i, 10)
 	case TypeFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.fl(), 'g', -1, 64)
 	case TypeString:
 		return "'" + strings.ReplaceAll(v.s, "'", "''") + "'"
 	case TypeBool:
@@ -173,7 +176,7 @@ func (v Value) AppendKey(b []byte) []byte {
 	case TypeInt, TypeBool:
 		b = strconv.AppendInt(b, v.i, 10)
 	case TypeFloat:
-		b = strconv.AppendFloat(b, v.f, 'g', -1, 64)
+		b = strconv.AppendFloat(b, v.fl(), 'g', -1, 64)
 	case TypeString:
 		b = strconv.AppendInt(b, int64(len(v.s)), 10)
 		b = append(b, ':')
@@ -228,7 +231,7 @@ func (v Value) Identical(o Value) bool {
 	case TypeInt, TypeBool:
 		return v.i == o.i
 	case TypeFloat:
-		return v.f == o.f
+		return v.fl() == o.fl()
 	case TypeString:
 		return v.s == o.s
 	default:
@@ -295,7 +298,7 @@ func (v Value) Hash() uint64 {
 		writeUint64(h, uint64(v.i))
 		// INT hashes like the equal FLOAT so cross-type lookups work.
 	case TypeFloat:
-		if f := v.f; f == math.Trunc(f) && f >= math.MinInt64 && f <= math.MaxInt64 {
+		if f := v.fl(); f == math.Trunc(f) && f >= math.MinInt64 && f <= math.MaxInt64 {
 			writeUint64(h, uint64(int64(f)))
 		} else {
 			writeUint64(h, math.Float64bits(f))
@@ -327,8 +330,8 @@ func (v Value) Coerce(t Type) (Value, error) {
 	case v.typ == TypeInt && t == TypeFloat:
 		return NewFloat(float64(v.i)), nil
 	case v.typ == TypeFloat && t == TypeInt:
-		if v.f == math.Trunc(v.f) {
-			return NewInt(int64(v.f)), nil
+		if f := v.fl(); f == math.Trunc(f) {
+			return NewInt(int64(f)), nil
 		}
 	}
 	return Null, fmt.Errorf("cannot coerce %s %s to %s", v.typ, v, t)
