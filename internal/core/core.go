@@ -66,13 +66,13 @@ type Config struct {
 	// whenever at least this many have accumulated. 0 selects 8; negative
 	// disables auto-compaction (Compact still works explicitly).
 	WALCompactAfter int
-	// WALFollower opens the log as a replication follower: recovery replays
-	// through a transaction-demultiplexing applier (so later streamed records
-	// never expose half a transaction to readers), no log hook is attached
-	// (records arrive from the primary, already logged), auto-compaction is
-	// off (the follower's segment chain must stay byte-identical to the
-	// primary's), and every statement but a plain SELECT is rejected with a
-	// NotPrimaryError until promotion.
+	// WALFollower opens the log as a replication follower: transactions the
+	// log leaves open stay open in its applier, awaiting the rest of their
+	// records from the primary, instead of being rolled back; no log hook is
+	// attached (records arrive from the primary, already logged);
+	// auto-compaction is off (the follower's segment chain must stay
+	// byte-identical to the primary's); and every statement but a plain
+	// SELECT is rejected with a NotPrimaryError until promotion.
 	WALFollower bool
 	// WALFS overrides the log's filesystem (fault injection, tests). Nil
 	// selects the real filesystem.
@@ -221,14 +221,8 @@ func NewSystem(cfg Config) *System {
 		}
 		if cfg.WALFollower {
 			// The follower's chain must stay a byte-identical copy of the
-			// primary's; compacting locally would diverge it (and could
-			// materialize rows of transactions still awaiting their commit
-			// record). Recovery and all streamed records replay through the
-			// applier so concurrent readers only ever see committed states.
+			// primary's; compacting locally would diverge it.
 			opts.CompactAfter = 0
-			s.repl.follower = true
-			s.repl.applier = wal.NewApplier(cat)
-			opts.Replay = s.repl.applier.Apply
 		}
 		l, err := wal.OpenLog(cfg.WALPath, cat, opts)
 		if err != nil {
@@ -239,6 +233,10 @@ func NewSystem(cfg Config) *System {
 		s.wal = l
 		s.walSync = cfg.WALSync
 		if cfg.WALFollower {
+			// Streamed records keep replaying through the recovery applier,
+			// so concurrent readers only ever see committed states.
+			s.repl.follower = true
+			s.repl.applier = l.Applier()
 			// Recovery may end mid-transaction (the primary will re-ship the
 			// rest); readers see only through the last replayed commit. No
 			// log hook: shipped records are appended by the replication
@@ -254,15 +252,38 @@ func NewSystem(cfg Config) *System {
 			s.repl.ready = s.repl.applier.Applied() > 0
 			return s
 		}
-		if cfg.WALSync {
-			// Mutations stream into the log buffer; the statement boundary
-			// (commitWAL) is the durability wait.
-			cat.SetLog(func(r storage.LogRecord) { l.AppendAsync(r) }) //nolint:errcheck // sticky error surfaced by commitWAL/Close
-		} else {
-			cat.SetLog(func(r storage.LogRecord) { l.Append(r) }) //nolint:errcheck // sticky error surfaced by Close
+		if err := s.takeOverLog(); err != nil {
+			s.err = fmt.Errorf("core: WAL recovery: %w", err)
 		}
 	}
 	return s
+}
+
+// takeOverLog makes s.wal the catalog's durable sink, then rolls back every
+// transaction the log left open: recovered at startup without a commit
+// record, or shipped to a follower being promoted without one. The rollback
+// runs after the hook is attached, so its compensations and commits land in
+// the log and every later replay — here and on this node's followers —
+// converges on the same state. When anything was rolled back the log is
+// committed once, so a primary start with nothing open pays no extra fsync.
+func (s *System) takeOverLog() error {
+	l := s.wal
+	if s.walSync {
+		// Mutations stream into the log buffer; the statement boundary
+		// (commitWAL) is the durability wait.
+		s.cat.SetLog(func(r storage.LogRecord) { l.AppendAsync(r) }) //nolint:errcheck // sticky error surfaced by commitWAL/Close
+	} else {
+		s.cat.SetLog(func(r storage.LogRecord) { l.Append(r) }) //nolint:errcheck // sticky error surfaced by Close
+	}
+	n, err := l.Applier().RollbackAll()
+	if err != nil {
+		s.cat.SetLog(nil)
+		return err
+	}
+	if n > 0 {
+		return s.commitWALAlways()
+	}
+	return nil
 }
 
 // commitWAL is the statement-level durability point: under Config.WALSync it

@@ -312,3 +312,74 @@ func TestCompactUnderConcurrentWrites(t *testing.T) {
 		t.Errorf("rows after compaction under load = %d, want %d", got, writers*each)
 	}
 }
+
+// TestPromotionRollsBackOpenTxn: a follower whose chain holds half of a
+// transaction — its row records shipped, its commit record not — is
+// promoted. The rows stay absent, and the promoted log closes the
+// transaction with compensations and a commit, so a replay of it leaves
+// nothing open and shows the same rows.
+func TestPromotionRollsBackOpenTxn(t *testing.T) {
+	pdir := filepath.Join(t.TempDir(), "p")
+	p := walSystem(t, pdir)
+	defer p.Close()
+	if err := p.Exec("CREATE TABLE T (x INT, PRIMARY KEY (x)); INSERT INTO T VALUES (1)"); err != nil {
+		t.Fatal(err)
+	}
+	sess := NewSession(p)
+	for _, q := range []string{"BEGIN", "INSERT INTO T VALUES (2)", "UPDATE T SET x = 3 WHERE x = 1"} {
+		if _, err := sess.Execute(q, ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The follower's chain is a byte copy of the primary's, as shipping
+	// leaves it.
+	fdir := filepath.Join(t.TempDir(), "f")
+	if err := os.MkdirAll(fdir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	segs, _ := filepath.Glob(filepath.Join(pdir, "*.wal"))
+	for _, seg := range segs {
+		data, err := os.ReadFile(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(fdir, filepath.Base(seg)), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	follower := func() *System {
+		t.Helper()
+		f := NewSystem(Config{WALPath: fdir, WALFollower: true})
+		if err := f.Err(); err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	rows := func(s *System) string {
+		t.Helper()
+		res, err := s.Query("SELECT x FROM T ORDER BY x")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprint(res.Rows)
+	}
+
+	f := follower()
+	if n := f.ReplApplier().OpenTxns(); n != 1 {
+		t.Fatalf("follower holds %d open transactions, want 1", n)
+	}
+	if err := f.BecomePrimary(); err != nil {
+		t.Fatal(err)
+	}
+	if got := rows(f); got != "[(1)]" {
+		t.Errorf("promoted rows %s, want [(1)]", got)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re := follower()
+	defer re.Close()
+	if n, got := re.ReplApplier().OpenTxns(), rows(re); n != 0 || got != "[(1)]" {
+		t.Errorf("replay of the promoted log: %d open, rows %s; want 0, [(1)]", n, got)
+	}
+}

@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"repro/internal/sql"
-	"repro/internal/storage"
 	"repro/internal/wal"
 )
 
@@ -201,10 +200,10 @@ func (s *System) gate(stmt sql.Statement) error {
 
 // BecomePrimary flips a follower into write-accepting mode. The replication
 // layer calls it after stopping the puller and bumping the fencing epoch:
-// it reopens the log for appending, attaches the log hook so new writes are
-// logged — and THEN publishes every transaction whose commit record the old
-// primary never shipped, so those commit records land in the promoted log
-// and demultiplex correctly on this node's own future followers. The MVCC
+// it reopens the log for appending and takes it over (takeOverLog), rolling
+// back every transaction whose commit record the old primary never shipped,
+// so the compensations and commits land in the promoted log and
+// demultiplex correctly on this node's own future followers. The MVCC
 // clock was dragged past the primary's at every replayed commit, so new
 // commits draw timestamps strictly above the replayed watermark.
 func (s *System) BecomePrimary() error {
@@ -224,16 +223,7 @@ func (s *System) BecomePrimary() error {
 	if err := s.wal.EnsureActive(); err != nil {
 		return fmt.Errorf("core: promote: %w", err)
 	}
-	if s.walSync {
-		s.cat.SetLog(func(r storage.LogRecord) { s.wal.AppendAsync(r) }) //nolint:errcheck // sticky error surfaced by commitWAL/Close
-	} else {
-		s.cat.SetLog(func(r storage.LogRecord) { s.wal.Append(r) }) //nolint:errcheck // sticky error surfaced by Close
-	}
-	s.repl.applier.CommitAll()
-	// Defensive: replay already advanced the clock to the watermark; make
-	// sure of it even if the tail commit record never arrived.
-	s.cat.AdvanceClock(s.repl.applier.LastTS())
-	if err := s.commitWALAlways(); err != nil {
+	if err := s.takeOverLog(); err != nil {
 		return fmt.Errorf("core: promote: %w", err)
 	}
 	s.repl.mu.Lock()
@@ -242,8 +232,8 @@ func (s *System) BecomePrimary() error {
 	return nil
 }
 
-// commitWALAlways forces the promotion commits to disk regardless of the
-// configured sync mode — a promotion must not be lost to a crash.
+// commitWALAlways forces the rollbacks of a log takeover to disk regardless
+// of the configured sync mode — they must not be lost to a crash.
 func (s *System) commitWALAlways() error {
 	if s.wal == nil {
 		return nil

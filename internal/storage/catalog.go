@@ -252,6 +252,13 @@ func (c *Catalog) Has(name string) bool {
 	return ok
 }
 
+// holds reports whether t is still the catalog's table under its name,
+// i.e. it has not been dropped (and perhaps replaced) since.
+func (c *Catalog) holds(t *Table) bool {
+	cur, err := c.Get(t.name)
+	return err == nil && cur == t
+}
+
 // Drop removes the named table.
 func (c *Catalog) Drop(name string) error {
 	c.mu.Lock()

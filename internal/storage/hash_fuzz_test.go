@@ -13,7 +13,9 @@ import (
 // (with and without a pinned snapshot) over a table with a primary key on id
 // and a hash index on k, a column with NULLs and many duplicates. Inserts
 // and updates reuse a small id range, so the primary key both refuses
-// duplicates and sees a key move between rows. After every step, equality
+// duplicates and sees a key move between rows. One op opens a writer that
+// takes the next 1–4 inserts, updates and deletes and then rolls back; the
+// committed rows after the rollback must equal those before the writer. After every step, equality
 // probes of every k and primary-key probes of every id, at the latest state
 // and at the pinned snapshot, must return exactly what a filtered ScanAt
 // returns; and both indexes must hold exactly the (key, row) pairs carried by
@@ -28,6 +30,8 @@ func FuzzHashIndex(f *testing.F) {
 	f.Add([]byte{0, 5, 0, 5, 0, 0x15, 0, 0x7f, 6, 0, 3, 0, 3, 0x30, 4, 2, 5, 0, 6, 0, 5, 0})
 	f.Add([]byte{0, 0, 0, 0x12, 0, 0x24, 4, 0, 5, 0, 4, 1, 5, 0})
 	f.Add([]byte{0, 1, 3, 0x81, 3, 0x02, 3, 0x83, 5, 0, 4, 0, 5, 0, 0, 1, 5, 0})
+	f.Add([]byte{0, 0x10, 0, 0x21, 7, 3, 3, 0xb0, 0, 0x12, 3, 0xc1, 4, 1, 5, 0})
+	f.Add([]byte{0, 0x10, 6, 0, 7, 1, 4, 0, 0, 0x13, 5, 0, 6, 0, 5, 0})
 
 	schema := value.NewSchema(value.Col("id", value.TypeInt), value.Col("k", value.TypeInt))
 	const ids, ks = 8, 6
@@ -53,11 +57,21 @@ func FuzzHashIndex(f *testing.F) {
 		var pin SnapRef
 		pinned := false
 		var pinTS uint64
+		var w *Writer // open writer, nil for auto-commit
+		left := 0     // row ops the open writer still takes
+		var before []string
+		committed := func() (out []string) {
+			tbl.Scan(func(id RowID, row value.Tuple) bool {
+				out = append(out, fmt.Sprint(id, row))
+				return true
+			})
+			return out
+		}
 		for i := 0; i+1 < len(ops); i += 2 {
 			op, arg := ops[i], ops[i+1]
-			switch op % 7 {
+			switch op % 8 {
 			case 0, 1, 2:
-				id, err := tbl.Insert(value.NewTuple(int(arg/16%ids), kOf(arg)))
+				id, err := tbl.InsertW(w, value.NewTuple(int(arg/16%ids), kOf(arg)))
 				if err == nil {
 					rows = append(rows, id)
 				}
@@ -72,11 +86,11 @@ func FuzzHashIndex(f *testing.F) {
 					if arg&0x80 != 0 {
 						pk = value.NewInt(int64(arg / 16 % ids))
 					}
-					tbl.Update(id, value.NewTuple(pk, kOf(arg/4))) //nolint:errcheck // the new id may be taken
+					tbl.UpdateW(w, id, value.NewTuple(pk, kOf(arg/4))) //nolint:errcheck // the new id may be taken
 				}
 			case 4:
 				if len(rows) > 0 {
-					tbl.Delete(rows[int(arg)%len(rows)]) //nolint:errcheck // row may be deleted
+					tbl.DeleteW(w, rows[int(arg)%len(rows)]) //nolint:errcheck // row may be deleted
 				}
 			case 5:
 				c.GC()
@@ -87,6 +101,22 @@ func FuzzHashIndex(f *testing.F) {
 					pinTS = c.PinSnapshot(&pin)
 				}
 				pinned = !pinned
+			case 7:
+				if w == nil {
+					w = c.NewWriter()
+					w.SetSnapshot(c.Clock())
+					left = int(arg%4) + 1
+					before = committed()
+				}
+			}
+			if w != nil && op%8 <= 4 {
+				if left--; left == 0 {
+					w.Rollback()
+					w = nil
+					if after := committed(); !slices.Equal(after, before) {
+						t.Fatalf("op %d: rows %v after rollback, %v before the writer", i/2, after, before)
+					}
+				}
 			}
 			snaps := []Snapshot{Latest()}
 			if pinned {

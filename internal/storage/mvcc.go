@@ -124,11 +124,11 @@ func visibleVersion(h *version, s Snapshot) *version {
 // commits every touched row at once. A Writer is single-goroutine, like the
 // Txn that owns it.
 //
-// There is no abort path at this level: the txn layer rolls back by applying
-// its undo trail through the same writer and then committing, which leaves
-// the aborted intermediate versions with begin == end — invisible to every
-// snapshot — and keeps the write-ahead log's physical-redo story (forward
-// operations followed by compensating ones) intact.
+// Rollback is the one abort path: it compensates through the same writer
+// and then commits, which leaves the aborted intermediate versions with
+// begin == end — invisible to every snapshot — and keeps the write-ahead
+// log's physical-redo story (forward operations followed by compensating
+// ones, then the commit) intact.
 type Writer struct {
 	cat   *Catalog
 	id    uint64        // Txn tag on this writer's log records
@@ -138,8 +138,9 @@ type Writer struct {
 }
 
 type wver struct {
-	t *Table
-	v *version
+	t  *Table
+	id RowID
+	v  *version
 }
 
 // NewWriter returns a writer drawing commit timestamps from the catalog's
@@ -147,10 +148,15 @@ type wver struct {
 func (c *Catalog) NewWriter() *Writer { return &Writer{cat: c, id: c.writerSeq.Add(1)} }
 
 // NewTaggedWriter returns a writer whose log records carry the given Txn tag
-// instead of a locally drawn one. The replication applier preserves the
-// original primary's tags this way, so the commit records a promoted follower
-// emits into its own log demultiplex correctly on any downstream follower.
-func (c *Catalog) NewTaggedWriter(id uint64) *Writer { return &Writer{cat: c, id: id} }
+// instead of a locally drawn one. Log replay preserves the logged tags this
+// way, so the compensations and commit a rollback of a replayed transaction
+// emits demultiplex correctly on every later replay and downstream follower.
+// Replay opens one per logged transaction, typically a group's answer
+// install, so the version list starts with room for eight entries rather
+// than regrowing from one.
+func (c *Catalog) NewTaggedWriter(id uint64) *Writer {
+	return &Writer{cat: c, id: id, vers: make([]wver, 0, 8)}
+}
 
 // txnID is the LogRecord.Txn tag for a mutation made on behalf of w (zero for
 // auto-commit mutations, which are their own atomic unit).
@@ -165,7 +171,7 @@ func txnID(w *Writer) uint64 {
 // compare committed row timestamps against it to detect conflicts.
 func (w *Writer) SetSnapshot(ts uint64) { w.snap = ts }
 
-func (w *Writer) touch(t *Table, v *version) { w.vers = append(w.vers, wver{t, v}) }
+func (w *Writer) touch(t *Table, id RowID, v *version) { w.vers = append(w.vers, wver{t, id, v}) }
 
 // Commit publishes the writer's versions at a fresh commit timestamp and
 // returns it. The state store is the atomic commit point; the per-table pass
@@ -196,6 +202,27 @@ func (w *Writer) Commit() uint64 {
 		w.cat.log.emit(LogRecord{Op: OpCommit, TS: ts, Txn: w.id})
 	}
 	return ts
+}
+
+// Rollback undoes every change w made, then commits. It works in two
+// phases over w's own versions: first it deletes each row whose current head
+// w created, which frees every key w took; then it restores each
+// before-image w ended. Undoing row by row in last-touch order could instead
+// collide on a primary key that w moved from one row to another. Versions
+// in tables dropped since are skipped: there is nothing to restore into.
+func (w *Writer) Rollback() {
+	n := len(w.vers)
+	for _, e := range w.vers[:n] {
+		if e.v.bw == w && e.v.ew == nil && w.cat.holds(e.t) {
+			e.t.DeleteW(w, e.id) //nolint:errcheck // w's own live head cannot conflict
+		}
+	}
+	for _, e := range w.vers[:n] {
+		if e.v.ew == w && e.v.bw != w && w.cat.holds(e.t) {
+			e.t.RestoreAtW(w, e.id, e.v.tup) //nolint:errcheck // the row's head is w's deleted version
+		}
+	}
+	w.Commit()
 }
 
 // SnapRef is an intrusive registration of one active snapshot; pinning links

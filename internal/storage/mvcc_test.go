@@ -2,6 +2,7 @@ package storage
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -214,5 +215,86 @@ func TestScanCompletesWhileWriterCommitsMidScan(t *testing.T) {
 	wg.Wait()
 	if n != 4 {
 		t.Fatalf("scan visited %d rows, want the 4 in its snapshot", n)
+	}
+}
+
+// TestWriterRollbackPKReuse rolls back two sequences that hand primary key 1
+// from row A to a new row B inside one writer, on a resident and on a spilled
+// table: (a) delete A, insert B with A's key; (b) move A's key 1 → 3, insert
+// B with key 1, move A again 3 → 4. Undoing (b) row by row in last-touch
+// order would restore A's key 1 while B still holds it. After Rollback the
+// table holds exactly its committed rows under their RowIDs, the primary key
+// finds them and nothing else, and the log ends with the writer's commit.
+func TestWriterRollbackPKReuse(t *testing.T) {
+	schema := value.NewSchema(value.Col("id", value.TypeInt), value.Col("s", value.TypeString))
+	seqs := []struct {
+		name string
+		run  func(tbl *Table, w *Writer, a RowID) error
+	}{
+		{"delete A, insert B", func(tbl *Table, w *Writer, a RowID) error {
+			if _, err := tbl.DeleteW(w, a); err != nil {
+				return err
+			}
+			_, err := tbl.InsertW(w, value.NewTuple(1, "B"))
+			return err
+		}},
+		{"move A, insert B, move A", func(tbl *Table, w *Writer, a RowID) error {
+			if _, err := tbl.UpdateW(w, a, value.NewTuple(3, "A")); err != nil {
+				return err
+			}
+			if _, err := tbl.InsertW(w, value.NewTuple(1, "B")); err != nil {
+				return err
+			}
+			_, err := tbl.UpdateW(w, a, value.NewTuple(4, "A"))
+			return err
+		}},
+	}
+	for _, spilled := range []bool{false, true} {
+		for _, seq := range seqs {
+			t.Run(fmt.Sprintf("%s/spilled=%v", seq.name, spilled), func(t *testing.T) {
+				cat := NewCatalog()
+				if spilled {
+					cat = spillCatalog(t, 2)
+				}
+				tbl, err := cat.Create("T", schema, "id")
+				if err != nil {
+					t.Fatal(err)
+				}
+				a, _ := tbl.Insert(value.NewTuple(1, "A"))
+				b, _ := tbl.Insert(value.NewTuple(2, "other"))
+				var last LogRecord
+				cat.SetLog(func(r LogRecord) { last = r })
+				w := cat.NewWriter()
+				w.SetSnapshot(cat.Clock())
+				if err := seq.run(tbl, w, a); err != nil {
+					t.Fatal(err)
+				}
+				w.Rollback()
+
+				var got []string
+				tbl.Scan(func(id RowID, row value.Tuple) bool {
+					got = append(got, fmt.Sprint(id, row))
+					return true
+				})
+				if want := []string{fmt.Sprint(a, value.NewTuple(1, "A")), fmt.Sprint(b, value.NewTuple(2, "other"))}; fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("rows after rollback %v, want %v", got, want)
+				}
+				for pk, want := range map[int]RowID{1: a, 2: b, 3: 0, 4: 0} {
+					id, _, ok := tbl.LookupPKAt(Latest(), value.NewTuple(pk))
+					if ok != (want != 0) || id != want {
+						t.Errorf("LookupPK(%d) = %d, %v; want %d", pk, id, ok, want)
+					}
+				}
+				if tbl.Len() != 2 {
+					t.Errorf("Len = %d, want 2", tbl.Len())
+				}
+				if last.Op != OpCommit || last.Txn != w.id {
+					t.Errorf("last logged record %+v, want the writer's commit", last)
+				}
+				if _, err := tbl.Insert(value.NewTuple(3, "C")); err != nil {
+					t.Errorf("key 3 still held after rollback: %v", err)
+				}
+			})
+		}
 	}
 }

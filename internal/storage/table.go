@@ -511,7 +511,7 @@ func (t *Table) insert(w *Writer, tup value.Tuple) (RowID, error) {
 		v.begin = t.clock.Add(1)
 	} else {
 		v.bw = w
-		w.touch(t, v)
+		w.touch(t, id, v)
 	}
 	t.rows[id] = v
 	t.addKeys(id, tup)
@@ -587,7 +587,7 @@ func (t *Table) GetRefAt(s Snapshot, id RowID) (value.Tuple, bool) {
 }
 
 // Delete removes the row with the given id (auto-commit) and returns the
-// removed tuple (so callers such as the transaction undo log can restore it).
+// removed tuple.
 func (t *Table) Delete(id RowID) (value.Tuple, error) { return t.delete(nil, id) }
 
 // DeleteW is Delete on behalf of an in-flight writer.
@@ -605,7 +605,7 @@ func (t *Table) delete(w *Writer, id RowID) (value.Tuple, error) {
 		h.end = t.clock.Add(1)
 	} else {
 		h.ew = w
-		w.touch(t, h)
+		w.touch(t, id, h)
 	}
 	t.version++
 	t.live--
@@ -650,8 +650,8 @@ func (t *Table) update(w *Writer, id RowID, tup value.Tuple) (value.Tuple, error
 	} else {
 		v.bw = w
 		h.ew = w
-		w.touch(t, v)
-		w.touch(t, h)
+		w.touch(t, id, v)
+		w.touch(t, id, h)
 	}
 	t.rows[id] = v
 	t.addKeys(id, tup) // old version keys stay until GC prunes the version
@@ -660,13 +660,12 @@ func (t *Table) update(w *Writer, id RowID, tup value.Tuple) (value.Tuple, error
 	return h.tup, nil
 }
 
-// RestoreAt reinserts a tuple under a specific RowID; the transaction undo
-// log uses it to reverse a Delete, and WAL replay uses it to reproduce
-// original RowIDs. The id must not be live.
+// RestoreAt reinserts a tuple under a specific RowID; Writer.Rollback uses it
+// to reverse a Delete, and WAL replay uses it to reproduce original RowIDs.
+// The id must not be live.
 func (t *Table) RestoreAt(id RowID, tup value.Tuple) error { return t.restoreAt(nil, id, tup) }
 
-// RestoreAtW is RestoreAt on behalf of an in-flight writer (the undo path of
-// a transaction that deleted the row earlier).
+// RestoreAtW is RestoreAt on behalf of an in-flight writer.
 func (t *Table) RestoreAtW(w *Writer, id RowID, tup value.Tuple) error {
 	return t.restoreAt(w, id, tup)
 }
@@ -688,7 +687,7 @@ func (t *Table) restoreAt(w *Writer, id RowID, tup value.Tuple) error {
 		v.begin = t.clock.Add(1)
 	} else {
 		v.bw = w
-		w.touch(t, v)
+		w.touch(t, id, v)
 	}
 	t.rows[id] = v
 	t.addKeys(id, tup)

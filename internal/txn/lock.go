@@ -1,6 +1,6 @@
 // Package txn provides transactions over the storage engine: snapshot
-// isolation for reads, strict two-phase locking on writes, and an undo log
-// for rollback.
+// isolation for reads, strict two-phase locking on writes, and rollback by
+// compensation through the storage writer.
 //
 // Reads resolve against a per-transaction snapshot pinned from the
 // catalog's MVCC commit clock, so they never take table locks, never block

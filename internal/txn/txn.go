@@ -98,16 +98,8 @@ func (m *Manager) Begin() *Txn {
 	return t
 }
 
-// undoRecord reverses one mutation.
-type undoRecord struct {
-	table  string
-	kind   uint8 // 0 insert (undo = delete), 1 delete (undo = restore), 2 update (undo = write back)
-	id     storage.RowID
-	before value.Tuple
-}
-
 // Txn is a single transaction: snapshot-isolated reads plus strict 2PL on
-// writes with an undo log. A Txn is not safe for concurrent use by multiple
+// writes. A Txn is not safe for concurrent use by multiple
 // goroutines (like database/sql.Tx).
 type Txn struct {
 	mgr *Manager
@@ -117,7 +109,6 @@ type Txn struct {
 	// and, backed by the inline buffer, costs no allocation at all.
 	held    []string
 	heldBuf [4]string
-	undo    []undoRecord
 	done    bool
 
 	// MVCC state: the pinned snapshot (registered with the catalog so GC
@@ -219,8 +210,8 @@ func (t *Txn) table(name string) (*storage.Table, error) {
 	return t.mgr.catalog.Get(name)
 }
 
-// Insert inserts a tuple under an exclusive lock and logs the undo. The new
-// version is invisible to other transactions until commit.
+// Insert inserts a tuple under an exclusive lock. The new version is
+// invisible to other transactions until commit.
 func (t *Txn) Insert(table string, tup value.Tuple) (storage.RowID, error) {
 	if err := t.Lock(table); err != nil {
 		return 0, err
@@ -229,15 +220,10 @@ func (t *Txn) Insert(table string, tup value.Tuple) (storage.RowID, error) {
 	if err != nil {
 		return 0, err
 	}
-	id, err := tbl.InsertW(t.writer(), tup)
-	if err != nil {
-		return 0, err
-	}
-	t.undo = append(t.undo, undoRecord{table: table, kind: 0, id: id})
-	return id, nil
+	return tbl.InsertW(t.writer(), tup)
 }
 
-// Delete removes a row under an exclusive lock and logs the undo.
+// Delete removes a row under an exclusive lock.
 func (t *Txn) Delete(table string, id storage.RowID) error {
 	if err := t.Lock(table); err != nil {
 		return err
@@ -246,15 +232,11 @@ func (t *Txn) Delete(table string, id storage.RowID) error {
 	if err != nil {
 		return err
 	}
-	old, err := tbl.DeleteW(t.writer(), id)
-	if err != nil {
-		return err
-	}
-	t.undo = append(t.undo, undoRecord{table: table, kind: 1, id: id, before: old})
-	return nil
+	_, err = tbl.DeleteW(t.writer(), id)
+	return err
 }
 
-// Update replaces a row under an exclusive lock and logs the undo.
+// Update replaces a row under an exclusive lock.
 func (t *Txn) Update(table string, id storage.RowID, tup value.Tuple) error {
 	if err := t.Lock(table); err != nil {
 		return err
@@ -263,12 +245,8 @@ func (t *Txn) Update(table string, id storage.RowID, tup value.Tuple) error {
 	if err != nil {
 		return err
 	}
-	old, err := tbl.UpdateW(t.writer(), id, tup)
-	if err != nil {
-		return err
-	}
-	t.undo = append(t.undo, undoRecord{table: table, kind: 2, id: id, before: old})
-	return nil
+	_, err = tbl.UpdateW(t.writer(), id, tup)
+	return err
 }
 
 // Scan iterates the table against the transaction's snapshot. It takes no
@@ -315,12 +293,12 @@ func (t *Txn) Commit() error {
 	return nil
 }
 
-// Rollback undoes every mutation in reverse order, then releases locks.
-// The undo runs through the transaction's own writer and is then committed:
-// the forward and compensating versions cancel out (begin == end), so no
-// snapshot ever observes the aborted intermediates, while the write-ahead
-// log keeps its pure physical-redo shape (forward operations followed by
-// compensating ones). Rolling back a finished transaction is a no-op (so
+// Rollback undoes every mutation through the transaction's writer
+// (storage.Writer.Rollback), then releases locks. The forward and
+// compensating versions cancel out (begin == end), so no snapshot ever
+// observes the aborted intermediates, while the write-ahead log keeps its
+// pure physical-redo shape (forward operations followed by compensating
+// ones). Rolling back a finished transaction is a no-op (so
 // `defer tx.Rollback()` is safe, as with database/sql).
 func (t *Txn) Rollback() error {
 	t.mu.Lock()
@@ -328,23 +306,8 @@ func (t *Txn) Rollback() error {
 	if t.done {
 		return nil
 	}
-	for i := len(t.undo) - 1; i >= 0; i-- {
-		r := t.undo[i]
-		tbl, err := t.mgr.catalog.Get(r.table)
-		if err != nil {
-			continue // table dropped mid-txn; nothing to restore into
-		}
-		switch r.kind {
-		case 0:
-			tbl.DeleteW(t.w, r.id) //nolint:errcheck // best-effort undo
-		case 1:
-			tbl.RestoreAtW(t.w, r.id, r.before) //nolint:errcheck
-		case 2:
-			tbl.UpdateW(t.w, r.id, r.before) //nolint:errcheck
-		}
-	}
 	if t.w != nil {
-		t.w.Commit() // publish forward+compensating pairs; net effect nil
+		t.w.Rollback()
 	}
 	t.finish()
 	t.mgr.stats.aborted.Add(1)
@@ -361,7 +324,6 @@ func (t *Txn) finish() {
 		t.pinned = false
 	}
 	t.held = nil
-	t.undo = nil
 	t.w = nil
 	t.done = true
 }

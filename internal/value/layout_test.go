@@ -19,10 +19,11 @@ func TestValueSize(t *testing.T) {
 // kept a FLOAT in a float64 field of its own, so storing the IEEE bits in the
 // int64 word changes none of them: NaN is not Equal (nor Identical) to
 // itself, -0 and +0 are Equal and hash alike, and FLOAT 1 hashes like INT 1.
+// The one departure is deliberate: a FLOAT outside int64's range (±Inf,
+// 2^63, MaxFloat64) no longer coerces to INT, nor hashes through int64.
 func TestFloatEdgeSemantics(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	negZero := math.Copysign(0, -1)
-	coerced := func(f float64) Value { return NewInt(int64(f)) } // platform-defined beyond int64's range
 	cases := []struct {
 		name      string
 		v, o      Value // Equal, Identical and Compare take v against o
@@ -39,9 +40,11 @@ func TestFloatEdgeSemantics(t *testing.T) {
 		{"NaN vs INT", NewFloat(nan), NewInt(1), false, false, 0, "2:NaN", "NaN", 0x8d1818291ff72671, Null, true, nan},
 		{"-0", NewFloat(negZero), NewFloat(0), true, true, 0, "2:-0", "-0", 0xa8c7f832281a39c5, NewInt(0), false, negZero},
 		{"+0", NewFloat(0), NewFloat(negZero), true, true, 0, "2:0", "0", 0xa8c7f832281a39c5, NewInt(0), false, 0},
-		{"+Inf", NewFloat(inf), NewFloat(inf), true, true, 0, "2:+Inf", "+Inf", 0xaab1293229b9b0f8, coerced(inf), false, inf},
-		{"-Inf", NewFloat(-inf), NewFloat(inf), false, false, -1, "2:-Inf", "-Inf", 0xaab1a93229ba8a78, coerced(-inf), false, -inf},
-		{"MaxFloat64", NewFloat(math.MaxFloat64), NewFloat(inf), false, false, -1, "2:1.7976931348623157e+308", "1.7976931348623157e+308", 0x8cbf9a8bfc76d24d, coerced(math.MaxFloat64), false, math.MaxFloat64},
+		{"+Inf", NewFloat(inf), NewFloat(inf), true, true, 0, "2:+Inf", "+Inf", 0xaab1293229b9b0f8, Null, true, inf},
+		{"-Inf", NewFloat(-inf), NewFloat(inf), false, false, -1, "2:-Inf", "-Inf", 0xaab1a93229ba8a78, Null, true, -inf},
+		{"MaxFloat64", NewFloat(math.MaxFloat64), NewFloat(inf), false, false, -1, "2:1.7976931348623157e+308", "1.7976931348623157e+308", 0x8cbf9a8bfc76d24d, Null, true, math.MaxFloat64},
+		{"-2^63", NewFloat(-1 << 63), NewInt(math.MinInt64), true, true, 0, "2:-9.223372036854776e+18", "-9.223372036854776e+18", 0xa8c7783228196045, NewInt(math.MinInt64), false, -1 << 63},
+		{"2^63", NewFloat(1 << 63), NewFloat(-1 << 63), false, false, 1, "2:9.223372036854776e+18", "9.223372036854776e+18", 0xaae7f53229e89b0c, Null, true, 1 << 63},
 		{"smallest subnormal", NewFloat(math.SmallestNonzeroFloat64), NewFloat(0), false, false, 1, "2:5e-324", "5e-324", 0x89cd31291d2aefa4, Null, true, math.SmallestNonzeroFloat64},
 		{"1.0 vs INT 1", NewFloat(1), NewInt(1), true, true, 0, "2:1", "1", 0x89cd31291d2aefa4, NewInt(1), false, 1},
 		{"INT 1 vs 1.0", NewInt(1), NewFloat(1), true, true, 0, "1:1", "1", 0x89cd31291d2aefa4, NewInt(1), false, 1},

@@ -298,7 +298,7 @@ func (v Value) Hash() uint64 {
 		writeUint64(h, uint64(v.i))
 		// INT hashes like the equal FLOAT so cross-type lookups work.
 	case TypeFloat:
-		if f := v.fl(); f == math.Trunc(f) && f >= math.MinInt64 && f <= math.MaxInt64 {
+		if f := v.fl(); f == math.Trunc(f) && f >= -1<<63 && f < 1<<63 {
 			writeUint64(h, uint64(int64(f)))
 		} else {
 			writeUint64(h, math.Float64bits(f))
@@ -330,7 +330,9 @@ func (v Value) Coerce(t Type) (Value, error) {
 	case v.typ == TypeInt && t == TypeFloat:
 		return NewFloat(float64(v.i)), nil
 	case v.typ == TypeFloat && t == TypeInt:
-		if f := v.fl(); f == math.Trunc(f) {
+		// The range test also refuses ±Inf, which pass the Trunc test but
+		// have no int64 value (the conversion would be platform-defined).
+		if f := v.fl(); f == math.Trunc(f) && f >= -1<<63 && f < 1<<63 {
 			return NewInt(int64(f)), nil
 		}
 	}

@@ -1,87 +1,27 @@
 package wal
 
 import (
+	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/storage"
 )
 
-// applyRecord replays one logged mutation into the catalog. Recovery and
-// compaction replay through it.
-func applyRecord(cat *storage.Catalog, r storage.LogRecord) error {
-	switch r.Op {
-	case storage.OpCreateTable:
-		_, err := cat.Create(r.Table, r.Schema, r.PK...)
-		return err
-
-	case storage.OpDropTable:
-		return cat.Drop(r.Table)
-
-	case storage.OpCreateIndex:
-		tbl, err := cat.Get(r.Table)
-		if err != nil {
-			return err
-		}
-		return tbl.CreateIndexNamed(r.Index, r.Cols...)
-
-	case storage.OpCreateOrderedIndex:
-		tbl, err := cat.Get(r.Table)
-		if err != nil {
-			return err
-		}
-		if len(r.Cols) != 1 {
-			return fmt.Errorf("ordered index wants exactly one column, got %v", r.Cols)
-		}
-		return tbl.CreateOrderedIndexNamed(r.Index, r.Cols[0])
-
-	case storage.OpInsert, storage.OpRestore:
-		tbl, err := cat.Get(r.Table)
-		if err != nil {
-			return err
-		}
-		return tbl.RestoreAt(r.RowID, r.Row)
-
-	case storage.OpDelete:
-		tbl, err := cat.Get(r.Table)
-		if err != nil {
-			return err
-		}
-		_, err = tbl.Delete(r.RowID)
-		return err
-
-	case storage.OpUpdate:
-		tbl, err := cat.Get(r.Table)
-		if err != nil {
-			return err
-		}
-		_, err = tbl.Update(r.RowID, r.Row)
-		return err
-
-	case storage.OpCommit:
-		// Advance the MVCC commit clock so post-recovery snapshots order
-		// after every pre-crash commit. Row effects were already replayed by
-		// the preceding physical records.
-		cat.AdvanceClock(r.TS)
-		return nil
-
-	default:
-		return fmt.Errorf("unknown op %q", r.Op)
-	}
-}
-
-// Applier replays a log-record stream into a catalog that is concurrently
-// serving snapshot reads — the replication follower's apply path.
+// Applier replays a log-record stream into a catalog, and is the only way a
+// record reaches one: recovery, compaction's scratch replay and the
+// replication follower all apply through it. Readers may run concurrently
+// with the replay.
 //
-// Plain recovery (applyRecord) makes every record visible the moment it is
-// applied, which is correct when nobody is reading yet but would let a live
-// reader observe half of a transaction whose records it is between. The
-// Applier instead demultiplexes records by their LogRecord.Txn tag into
-// per-transaction MVCC writers: a tagged row op lands in its transaction's
-// writer (invisible to every snapshot), and the transaction's OpCommit
-// publishes the writer — one atomic timestamp store, exactly as the original
-// commit did on the primary. Untagged records (auto-commit mutations, DDL)
+// It demultiplexes records by their LogRecord.Txn tag into per-transaction
+// MVCC writers: a tagged row op lands in its transaction's writer (invisible
+// to every snapshot), and the transaction's OpCommit publishes the writer —
+// one atomic timestamp store, exactly as the original commit did on the
+// primary. A transaction whose commit record never arrives stays open until
+// RollbackAll compensates it. Untagged records (auto-commit mutations, DDL)
 // apply directly, each being its own atomic unit.
 //
 // A snapshot segment is the one untagged sequence that is NOT record-atomic:
@@ -106,17 +46,10 @@ func NewApplier(cat *storage.Catalog) *Applier {
 	return &Applier{cat: cat, open: make(map[uint64]*storage.Writer)}
 }
 
-func isDDL(op storage.LogOp) bool {
-	switch op {
-	case storage.OpCreateTable, storage.OpDropTable, storage.OpCreateIndex, storage.OpCreateOrderedIndex:
-		return true
-	}
-	return false
-}
-
 // writer returns (creating on first use) the MVCC writer for transaction id.
 // The snapshot is pinned at infinity so first-committer-wins never fires:
-// the primary already resolved every conflict; the follower replays winners.
+// the writer that logged the records already resolved every conflict, and
+// replay only reproduces its winners.
 func (a *Applier) writer(id uint64) *storage.Writer {
 	w := a.open[id]
 	if w == nil {
@@ -132,8 +65,16 @@ func (a *Applier) writer(id uint64) *storage.Writer {
 func (a *Applier) Apply(r storage.LogRecord) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	if err := a.apply(r); err != nil {
+		return err
+	}
+	a.applied.Add(1)
+	return nil
+}
 
-	if r.Op == storage.OpCommit {
+func (a *Applier) apply(r storage.LogRecord) error {
+	switch r.Op {
+	case storage.OpCommit:
 		if r.Txn != 0 {
 			if w := a.open[r.Txn]; w != nil {
 				w.Commit()
@@ -143,63 +84,65 @@ func (a *Applier) Apply(r storage.LogRecord) error {
 			a.batch.Commit()
 			a.batch = nil
 		}
-		// The follower's own commits drew local timestamps; dragging the
-		// clock to the primary's keeps follower snapshots ordered after
-		// everything the primary had committed by this point.
+		// Commits replayed here drew local timestamps; dragging the clock to
+		// the logged one keeps later snapshots ordered after everything
+		// committed by this point.
 		a.cat.AdvanceClock(r.TS)
 		a.lastTS.Store(r.TS)
 		a.commits.Add(1)
-		a.applied.Add(1)
 		return nil
-	}
 
-	if isDDL(r.Op) {
-		// DDL is not versioned; it applies directly even inside a snapshot
-		// batch (a created-but-still-empty table is benign). The DDL version
-		// bump invalidates any plan the follower cached against the old
-		// schema — replicated DDL skips the engine layer that normally bumps.
-		if err := applyRecord(a.cat, r); err != nil {
+	// DDL is not versioned; it applies directly even inside a snapshot batch
+	// or a transaction (a created-but-still-empty table is benign). The DDL
+	// version bump invalidates any plan cached against the old schema.
+	case storage.OpCreateTable:
+		_, err := a.cat.Create(r.Table, r.Schema, r.PK...)
+		return a.ddl(err)
+	case storage.OpDropTable:
+		return a.ddl(a.cat.Drop(r.Table))
+	case storage.OpCreateIndex, storage.OpCreateOrderedIndex:
+		tbl, err := a.cat.Get(r.Table)
+		if err != nil {
 			return err
 		}
+		if r.Op == storage.OpCreateIndex {
+			return a.ddl(tbl.CreateIndexNamed(r.Index, r.Cols...))
+		}
+		if len(r.Cols) != 1 {
+			return fmt.Errorf("ordered index wants exactly one column, got %v", r.Cols)
+		}
+		return a.ddl(tbl.CreateOrderedIndexNamed(r.Index, r.Cols[0]))
+
+	case storage.OpInsert, storage.OpRestore, storage.OpDelete, storage.OpUpdate:
+		tbl, err := a.cat.Get(r.Table)
+		if err != nil {
+			return err
+		}
+		// An untagged row op is its own atomic unit (a nil writer
+		// auto-commits), unless a snapshot batch is collecting it.
+		w := a.batch
+		if r.Txn != 0 {
+			w = a.writer(r.Txn)
+		}
+		switch r.Op {
+		case storage.OpDelete:
+			_, err = tbl.DeleteW(w, r.RowID)
+		case storage.OpUpdate:
+			_, err = tbl.UpdateW(w, r.RowID, r.Row)
+		default:
+			err = tbl.RestoreAtW(w, r.RowID, r.Row)
+		}
+		return err
+	}
+	return fmt.Errorf("unknown op %q", r.Op)
+}
+
+// ddl bumps the catalog's DDL version after a schema change applied.
+func (a *Applier) ddl(err error) error {
+	if err == nil {
 		a.cat.BumpDDL()
-		a.applied.Add(1)
-		return nil
 	}
-
-	var w *storage.Writer
-	switch {
-	case r.Txn != 0:
-		w = a.writer(r.Txn)
-	case a.batch != nil:
-		w = a.batch
-	default:
-		// Untagged auto-commit mutation: its own atomic unit.
-		if err := applyRecord(a.cat, r); err != nil {
-			return err
-		}
-		a.applied.Add(1)
-		return nil
-	}
-
-	tbl, err := a.cat.Get(r.Table)
-	if err != nil {
-		return err
-	}
-	switch r.Op {
-	case storage.OpInsert, storage.OpRestore:
-		err = tbl.RestoreAtW(w, r.RowID, r.Row)
-	case storage.OpDelete:
-		_, err = tbl.DeleteW(w, r.RowID)
-	case storage.OpUpdate:
-		_, err = tbl.UpdateW(w, r.RowID, r.Row)
-	default:
-		err = applyRecord(a.cat, r)
-	}
-	if err != nil {
-		return err
-	}
-	a.applied.Add(1)
-	return nil
+	return err
 }
 
 // BeginSnapshot starts snapshot-batch mode: until the next untagged
@@ -214,26 +157,25 @@ func (a *Applier) BeginSnapshot() {
 	}
 }
 
-// CommitAll publishes every in-flight transaction and returns how many were
-// open. Promotion calls it: a transaction whose commit record the old
-// primary never shipped is in exactly the state the primary's own crash
-// recovery would leave it — its logged effects applied — so publishing
-// matches the recovery semantics the log has always had.
-func (a *Applier) CommitAll() int {
+// RollbackAll rolls back every transaction left open — compensations
+// through its writer, then its commit — and returns how many there were.
+// Taking over a log as its writer (a primary's startup, a promotion) calls
+// it once the catalog's log hook is attached, so the compensations and the
+// commits close every open Txn tag in the log itself, and every later
+// replay of it converges. An open snapshot batch is refused, never rolled
+// back: it is a rebuild of the whole database, not a transaction.
+func (a *Applier) RollbackAll() (int, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	n := 0
-	for id, w := range a.open {
-		w.Commit()
-		delete(a.open, id)
-		n++
-	}
 	if a.batch != nil {
-		a.batch.Commit()
-		a.batch = nil
-		n++
+		return 0, errors.New("wal: a snapshot segment is still being applied")
 	}
-	return n
+	n := len(a.open)
+	for _, id := range slices.Sorted(maps.Keys(a.open)) {
+		a.open[id].Rollback()
+		delete(a.open, id)
+	}
+	return n, nil
 }
 
 // Reset discards in-flight transactions and drops every table, preparing the

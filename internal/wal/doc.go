@@ -8,8 +8,12 @@
 //
 // The log is *physical-redo* style: every mutation is appended in apply
 // order, and rolled-back transactions appear as their operations followed
-// by the undo machinery's compensating operations, so a full replay always
-// converges to the exact pre-crash logical state. Coordination state (the
+// by compensating operations and a commit, so a full replay always
+// converges to the exact pre-crash committed state. Every record reaches
+// the catalog through an Applier (apply.go), which publishes a
+// transaction's rows only at its commit record: a transaction with no
+// commit record does not survive replay, and whoever takes the log over
+// rolls it back, so the log itself closes it. Coordination state (the
 // pending-query tables) is deliberately volatile, like the demo system:
 // pending entangled queries belong to live sessions; installed answers live
 // in ordinary tables and are durable.

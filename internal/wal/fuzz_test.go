@@ -25,6 +25,10 @@ func FuzzWALDecode(f *testing.F) {
 		{Op: storage.OpUpdate, Table: "T", RowID: 2, Row: value.NewTuple(2.5, "Milan")},
 		{Op: storage.OpDelete, Table: "T", RowID: 1},
 		{Op: storage.OpInsert, Table: "T", RowID: 3, Row: value.NewTuple(nil, true)},
+		{Op: storage.OpInsert, Table: "T", RowID: 4, Row: value.NewTuple(7, "Oslo"), Txn: 1},
+		{Op: storage.OpUpdate, Table: "T", RowID: 2, Row: value.NewTuple(3, "Nice"), Txn: 1},
+		{Op: storage.OpCommit, TS: 9, Txn: 1},
+		{Op: storage.OpDelete, Table: "T", RowID: 4, Txn: 2},
 	}
 	for _, r := range recs {
 		var err error
@@ -57,10 +61,11 @@ func FuzzWALDecode(f *testing.F) {
 				t.Fatalf("decoded record does not re-encode: %+v: %v", rec, err)
 			}
 		}
-		// Replay must degrade to an error at worst — never a panic.
-		cat := storage.NewCatalog()
+		// Replay — through the Applier, the path recovery takes — must
+		// degrade to an error at worst, never a panic.
+		a := NewApplier(storage.NewCatalog())
 		for _, rec := range d.recs {
-			if err := applyRecord(cat, rec); err != nil {
+			if err := a.Apply(rec); err != nil {
 				break
 			}
 		}

@@ -3,9 +3,11 @@ package wal
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sync"
 
 	"repro/internal/storage"
@@ -62,6 +64,7 @@ type Log struct {
 
 	stats     CommitStats
 	recovered RecoveryInfo
+	applier   *Applier // replays recovery, then serves the follower's stream
 }
 
 // commitGen notifies every appender whose record rode a given flush batch.
@@ -112,11 +115,6 @@ type Options struct {
 	// fault-injection harness substitutes a wrapper that scripts write
 	// errors, short writes and crashes.
 	FS FS
-	// Replay overrides how recovery applies decoded records. Nil applies
-	// each record directly into the catalog. A replication follower installs
-	// its Applier here so recovery rebuilds in-flight transaction state
-	// instead of surfacing partially-shipped transactions.
-	Replay func(storage.LogRecord) error
 }
 
 // CommitStats counts the write-side activity of a Log.
@@ -140,11 +138,15 @@ type RecoveryInfo struct {
 var ErrLogClosed = errors.New("wal: log is closed")
 
 // OpenLog opens (creating as needed) the segmented log rooted at dir,
-// replays every segment into cat, truncates a torn tail, and leaves the log
-// ready for appending. Sealed segments are decoded in parallel and applied
-// in segment order. A regular file at dir, or a "*.json" file inside it, is
-// refused and left untouched: both are what the retired JSON log format
-// wrote, and an empty log must not start over data it cannot read.
+// replays every segment into cat through the log's Applier, truncates a torn
+// tail, and leaves the log ready for appending. A transaction without a
+// commit record stays open in the Applier: it is invisible, and whoever
+// takes the log over either rolls it back (Applier.RollbackAll) or, as a
+// follower, awaits the rest of it. Sealed segments are decoded in parallel
+// and applied in segment order. A regular file at dir, or a "*.json" file
+// inside it, is refused and left untouched: both are what the retired JSON
+// log format wrote, and an empty log must not start over data it cannot
+// read.
 func OpenLog(dir string, cat *storage.Catalog, opts Options) (*Log, error) {
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = DefaultSegmentBytes
@@ -155,12 +157,12 @@ func OpenLog(dir string, cat *storage.Catalog, opts Options) (*Log, error) {
 	if opts.FS == nil {
 		opts.FS = OSFS()
 	}
-	l := &Log{dir: dir, opts: opts, fs: opts.FS, watch: make(chan struct{})}
+	l := &Log{dir: dir, opts: opts, fs: opts.FS, watch: make(chan struct{}), applier: NewApplier(cat)}
 	l.cond = sync.NewCond(&l.mu)
 	if err := l.prepareDir(); err != nil {
 		return nil, err
 	}
-	if err := l.recover(cat); err != nil {
+	if err := l.recover(); err != nil {
 		return nil, err
 	}
 	l.mu.Lock()
@@ -180,15 +182,12 @@ func (l *Log) prepareDir() error {
 	return l.fs.SyncDir(l.dir)
 }
 
-// recover replays the segments into cat and opens the active segment.
-func (l *Log) recover(cat *storage.Catalog) error {
+// recover replays the segments through l.applier and opens the active
+// segment.
+func (l *Log) recover() error {
 	segs, err := listSegments(l.fs, l.dir)
 	if err != nil {
 		return err
-	}
-	apply := l.opts.Replay
-	if apply == nil {
-		apply = func(rec storage.LogRecord) error { return applyRecord(cat, rec) }
 	}
 
 	// Decode every segment concurrently; the results are applied strictly in
@@ -241,7 +240,7 @@ func (l *Log) recover(cat *storage.Catalog) error {
 			l.recovered.TornBytes = segs[i].Bytes - d.good
 		}
 		for n, rec := range d.recs {
-			if err := apply(rec); err != nil {
+			if err := l.applier.Apply(rec); err != nil {
 				return fmt.Errorf("wal: replay %s record %d (%s %s): %w",
 					filepath.Base(segs[i].Path), n+1, rec.Op, rec.Table, err)
 			}
@@ -353,6 +352,11 @@ func (l *Log) createSegment(seq uint64) error {
 
 // Recovered reports what OpenLog replayed.
 func (l *Log) Recovered() RecoveryInfo { return l.recovered }
+
+// Applier returns the applier recovery replayed through. It holds the
+// transactions the log left open; a follower keeps applying the shipped
+// stream through it.
+func (l *Log) Applier() *Applier { return l.applier }
 
 // Dir returns the log directory.
 func (l *Log) Dir() string { return l.dir }
@@ -715,9 +719,12 @@ func (l *Log) Compact() error {
 
 // compactSegments replays segs (a sealed prefix of the log) into a scratch
 // catalog and replaces them with one snapshot segment named after the last
-// sequence in the prefix. The rename is atomic; stale files are removed
-// afterwards, and recovery ignores anything older than a snapshot, so a
-// crash at any point leaves a recoverable chain.
+// sequence in the prefix. The snapshot holds committed state only; the
+// records of transactions still open at the end of the prefix follow it
+// unchanged, so a later commit or rollback in the tail finds them. The
+// rename is atomic; stale files are removed afterwards, and recovery ignores
+// anything older than a snapshot, so a crash at any point leaves a
+// recoverable chain.
 func (l *Log) compactSegments(segs []SegmentInfo) error {
 	scratch := storage.NewCatalog()
 	var info CompactScratchInfo
@@ -739,6 +746,8 @@ func (l *Log) compactSegments(segs []SegmentInfo) error {
 		}
 		info.Pooled = true
 	}
+	a := NewApplier(scratch)
+	open := make(map[uint64][]storage.LogRecord) // records of open transactions
 	for _, s := range segs {
 		d := decodeSegmentFile(l.fs, s)
 		if d.err != nil {
@@ -748,13 +757,28 @@ func (l *Log) compactSegments(segs []SegmentInfo) error {
 			return fmt.Errorf("wal: compact: sealed segment %s is torn", filepath.Base(s.Path))
 		}
 		for _, rec := range d.recs {
-			if err := applyRecord(scratch, rec); err != nil {
+			if err := a.Apply(rec); err != nil {
 				return fmt.Errorf("wal: compact: replay %s: %w", filepath.Base(s.Path), err)
+			}
+			switch {
+			case rec.Txn == 0:
+			case rec.Op == storage.OpCommit:
+				delete(open, rec.Txn)
+			default:
+				open[rec.Txn] = append(open[rec.Txn], rec)
+			}
+		}
+	}
+	var carry []storage.LogRecord
+	for _, id := range slices.Sorted(maps.Keys(open)) {
+		for _, rec := range open[id] {
+			if scratch.Has(rec.Table) { // a table the prefix dropped took the rows with it
+				carry = append(carry, rec)
 			}
 		}
 	}
 	last := segs[len(segs)-1]
-	size, err := writeSnapshotSegment(l.fs, l.dir, last.Seq, scratch)
+	size, err := writeSnapshotSegment(l.fs, l.dir, last.Seq, scratch, carry)
 	if err != nil {
 		return fmt.Errorf("wal: compact: %w", err)
 	}

@@ -42,6 +42,8 @@ func TestBinaryRecordRoundTrip(t *testing.T) {
 		{Op: storage.OpUpdate, Table: "T", RowID: 42, Row: value.NewTuple(8, "", -0.0, false)},
 		{Op: storage.OpDelete, Table: "T", RowID: 42},
 		{Op: storage.OpRestore, Table: "T", RowID: 42, Row: value.NewTuple(nil, nil, nil, nil)},
+		{Op: storage.OpInsert, Table: "T", RowID: 43, Row: value.NewTuple(1, "t", 0.5, true), Txn: 7},
+		{Op: storage.OpCommit, TS: 1 << 40, Txn: 7},
 	}
 	var buf []byte
 	var err error
@@ -60,7 +62,7 @@ func TestBinaryRecordRoundTrip(t *testing.T) {
 	}
 	for i, r := range recs {
 		g := got[i]
-		if g.Op != r.Op || g.Table != r.Table || g.RowID != r.RowID {
+		if g.Op != r.Op || g.Table != r.Table || g.RowID != r.RowID || g.Txn != r.Txn || g.TS != r.TS {
 			t.Errorf("record %d: got %+v want %+v", i, g, r)
 		}
 		if len(g.Row) != len(r.Row) {
@@ -505,9 +507,11 @@ func TestCompactRotationDrainsParkedAppends(t *testing.T) {
 	l, _ := openLog(t, dir, Options{SegmentBytes: 256})
 	defer l.Close()
 
-	rec := storage.LogRecord{Op: storage.OpInsert, Table: "T", RowID: 1,
-		Row: value.NewTuple(1, "payload payload payload")}
-
+	// The log must replay, since Compact replays it: create the table
+	// first, and give every insert its own row.
+	if err := l.Append(storage.LogRecord{Op: storage.OpCreateTable, Table: "T", Schema: flightsSchema()}); err != nil {
+		t.Fatal(err)
+	}
 	const writers, each = 4, 200
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
@@ -515,6 +519,8 @@ func TestCompactRotationDrainsParkedAppends(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
+				rec := storage.LogRecord{Op: storage.OpInsert, Table: "T", RowID: storage.RowID(w*each + i + 1),
+					Row: value.NewTuple(1, "payload payload payload")}
 				if err := l.Append(rec); err != nil {
 					t.Error(err)
 					return
@@ -537,7 +543,7 @@ func TestCompactRotationDrainsParkedAppends(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("appenders deadlocked: a commit generation parked during Compact's rotation window was never drained")
 	}
-	if got := l.Stats().Records; got != writers*each {
+	if got := l.Stats().Records; got != writers*each+1 {
 		t.Fatalf("records = %d, want %d", got, writers*each)
 	}
 }

@@ -124,10 +124,11 @@ func decodeSegmentFile(fsys FS, seg SegmentInfo) segmentDecode {
 }
 
 // writeSnapshotSegment writes a snapshot-flagged segment holding the minimal
-// record sequence that recreates cat (one create per table, one insert per
-// live row, then its indexes), through a temp file, fsync and rename. It returns
-// the final file size.
-func writeSnapshotSegment(fsys FS, dir string, seq uint64, cat *storage.Catalog) (int64, error) {
+// record sequence that recreates cat's committed state (one create per
+// table, one insert per committed row, then its indexes, then a commit),
+// followed by the carry records, through a temp file, fsync and rename. It
+// returns the final file size.
+func writeSnapshotSegment(fsys FS, dir string, seq uint64, cat *storage.Catalog, carry []storage.LogRecord) (int64, error) {
 	tmp := filepath.Join(dir, segName(seq)+".tmp")
 	f, err := fsys.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
@@ -149,7 +150,7 @@ func writeSnapshotSegment(fsys FS, dir string, seq uint64, cat *storage.Catalog)
 		_, err = w.Write(buf)
 		return err
 	}
-	if err := snapshotRecords(cat, emit); err != nil {
+	if err := snapshotRecords(cat, carry, emit); err != nil {
 		f.Close()
 		return 0, err
 	}
@@ -175,8 +176,9 @@ func writeSnapshotSegment(fsys FS, dir string, seq uint64, cat *storage.Catalog)
 	return size, fsys.SyncDir(dir)
 }
 
-// snapshotRecords feeds emit the canonical snapshot record sequence for cat.
-func snapshotRecords(cat *storage.Catalog, emit func(storage.LogRecord) error) error {
+// snapshotRecords feeds emit the canonical snapshot record sequence for cat,
+// then the carry records.
+func snapshotRecords(cat *storage.Catalog, carry []storage.LogRecord, emit func(storage.LogRecord) error) error {
 	for _, name := range cat.Names() {
 		tbl, err := cat.Get(name)
 		if err != nil {
@@ -191,7 +193,8 @@ func snapshotRecords(cat *storage.Catalog, emit func(storage.LogRecord) error) e
 		// StreamAt keeps O(1) tuples materialized while walking a spilled
 		// table — essential when the scratch catalog runs with a bounded
 		// pool — and the scratch is quiescent, its only consistency
-		// requirement.
+		// requirement. The Latest view skips the versions of transactions
+		// still open: they travel as carry records instead.
 		var scanErr error
 		tbl.StreamAt(storage.Latest(), func(id storage.RowID, row value.Tuple) bool {
 			scanErr = emit(storage.LogRecord{Op: storage.OpInsert, Table: tbl.Name(), RowID: id, Row: row})
@@ -214,5 +217,13 @@ func snapshotRecords(cat *storage.Catalog, emit func(storage.LogRecord) error) e
 	}
 	// Preserve the MVCC commit clock across compaction: replaying the
 	// snapshot alone would restart the clock near the row count.
-	return emit(storage.LogRecord{Op: storage.OpCommit, TS: cat.Clock()})
+	if err := emit(storage.LogRecord{Op: storage.OpCommit, TS: cat.Clock()}); err != nil {
+		return err
+	}
+	for _, r := range carry {
+		if err := emit(r); err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -181,7 +181,7 @@ func TestRolledBackTxnConvergesOnReplay(t *testing.T) {
 }
 
 func TestRecoverUnknownOp(t *testing.T) {
-	err := applyRecord(storage.NewCatalog(), storage.LogRecord{Op: "explode", Table: "T"})
+	err := NewApplier(storage.NewCatalog()).Apply(storage.LogRecord{Op: "explode", Table: "T"})
 	if err == nil || !strings.Contains(err.Error(), "unknown op") {
 		t.Errorf("err = %v", err)
 	}
