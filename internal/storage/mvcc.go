@@ -151,12 +151,7 @@ func (c *Catalog) NewWriter() *Writer { return &Writer{cat: c, id: c.writerSeq.A
 // instead of a locally drawn one. Log replay preserves the logged tags this
 // way, so the compensations and commit a rollback of a replayed transaction
 // emits demultiplex correctly on every later replay and downstream follower.
-// Replay opens one per logged transaction, typically a group's answer
-// install, so the version list starts with room for eight entries rather
-// than regrowing from one.
-func (c *Catalog) NewTaggedWriter(id uint64) *Writer {
-	return &Writer{cat: c, id: id, vers: make([]wver, 0, 8)}
-}
+func (c *Catalog) NewTaggedWriter(id uint64) *Writer { return &Writer{cat: c, id: id} }
 
 // txnID is the LogRecord.Txn tag for a mutation made on behalf of w (zero for
 // auto-commit mutations, which are their own atomic unit).

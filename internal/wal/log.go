@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 
 	"repro/internal/storage"
@@ -761,6 +762,13 @@ func (l *Log) compactSegments(segs []SegmentInfo) error {
 				return fmt.Errorf("wal: compact: replay %s: %w", filepath.Base(s.Path), err)
 			}
 			switch {
+			case rec.Op == storage.OpDropTable:
+				// The dropped table takes an open transaction's rows with it;
+				// carried past the drop they would land in a table re-created
+				// under the same name.
+				for id, recs := range open {
+					open[id] = slices.DeleteFunc(recs, func(r storage.LogRecord) bool { return strings.EqualFold(r.Table, rec.Table) })
+				}
 			case rec.Txn == 0:
 			case rec.Op == storage.OpCommit:
 				delete(open, rec.Txn)
@@ -771,11 +779,7 @@ func (l *Log) compactSegments(segs []SegmentInfo) error {
 	}
 	var carry []storage.LogRecord
 	for _, id := range slices.Sorted(maps.Keys(open)) {
-		for _, rec := range open[id] {
-			if scratch.Has(rec.Table) { // a table the prefix dropped took the rows with it
-				carry = append(carry, rec)
-			}
-		}
+		carry = append(carry, open[id]...)
 	}
 	last := segs[len(segs)-1]
 	size, err := writeSnapshotSegment(l.fs, l.dir, last.Seq, scratch, carry)

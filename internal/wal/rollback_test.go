@@ -1,8 +1,11 @@
 package wal
 
 import (
+	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/storage"
@@ -131,6 +134,66 @@ func TestCompactMidTransaction(t *testing.T) {
 	}
 }
 
+// TestCompactMidTransactionDroppedTable: an open transaction writes T, then
+// T is dropped and re-created and an auto-commit insert takes RowID 1 of the
+// new T. Compaction must not carry the transaction's records into the new
+// table: every recovery of the compacted log equals that of the same log
+// left uncompacted, whether the transaction commits afterwards or not.
+func TestCompactMidTransactionDroppedTable(t *testing.T) {
+	script := func(dir string, compact, commit bool) {
+		cat, l := loggedCatalog(t, dir)
+		old, err := cat.Create("T", flightsSchema(), "fno")
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := cat.NewWriter()
+		w.SetSnapshot(cat.Clock())
+		if _, err := old.InsertW(w, value.NewTuple(1, "Paris")); err != nil {
+			t.Fatal(err)
+		}
+		if err := cat.Drop("T"); err != nil {
+			t.Fatal(err)
+		}
+		tbl, err := cat.Create("T", flightsSchema(), "fno")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tbl.Insert(value.NewTuple(2, "Rome")); err != nil {
+			t.Fatal(err)
+		}
+		if compact {
+			if err := l.Compact(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if commit {
+			w.Commit()
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, commit := range []bool{true, false} {
+		plain := filepath.Join(t.TempDir(), "wal")
+		compacted := filepath.Join(t.TempDir(), "wal")
+		script(plain, false, commit)
+		script(compacted, true, commit)
+		for i := 0; i < 2; i++ {
+			var got [2]string
+			for j, dir := range []string{plain, compacted} {
+				cat, l, _ := takeOver(t, dir)
+				got[j] = fmt.Sprint(rows(t, cat, "T"))
+				if err := l.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got[0] != "[(2, 'Rome')]" || got[1] != got[0] {
+				t.Errorf("commit=%v, recovery %d: uncompacted %s, compacted %s; want [(2, 'Rome')]", commit, i, got[0], got[1])
+			}
+		}
+	}
+}
+
 // TestTxnTagReuseAfterRestart: Txn tags restart at 1 with every process.
 // A crash with tag 1 open, a restart that rolls it back, and a new tag-1
 // transaction that commits: two later recoveries show only the new rows,
@@ -202,4 +265,96 @@ func TestRollbackAllRefusesSnapshotBatch(t *testing.T) {
 	if n, err := a.RollbackAll(); err == nil || n != 0 || a.OpenTxns() != 2 {
 		t.Fatalf("RollbackAll with a snapshot batch open = %d, %v; %d open", n, err, a.OpenTxns())
 	}
+}
+
+// TestLogFromPublishingRecovery replays logs shaped the way a recovery that
+// published open transactions left them: tag 1 is open at a crash, the
+// restart makes its row visible without logging anything, and the new
+// process draws Txn tags from 1 again. Today's replay keeps tag 1 open
+// instead, so such a log replays differently; compacting it with the build
+// that wrote it first turns the published rows into snapshot rows.
+func TestLogFromPublishingRecovery(t *testing.T) {
+	crash := []storage.LogRecord{
+		{Op: storage.OpCreateTable, Table: "T", Schema: flightsSchema(), PK: []string{"fno"}},
+		{Op: storage.OpInsert, Table: "T", RowID: 1, Row: value.NewTuple(1, "Paris"), Txn: 1},
+	}
+	write := func(t *testing.T, dir string, segs ...[]storage.LogRecord) {
+		t.Helper()
+		for _, recs := range segs {
+			l, _ := openLog(t, dir, Options{})
+			for _, r := range recs {
+				if err := l.Append(r); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	t.Run("later writer touches the row", func(t *testing.T) {
+		dir := filepath.Join(t.TempDir(), "wal")
+		write(t, dir, crash, []storage.LogRecord{
+			{Op: storage.OpUpdate, Table: "T", RowID: 1, Row: value.NewTuple(1, "Oslo")},
+		})
+		_, err := OpenLog(dir, storage.NewCatalog(), Options{})
+		if !errors.Is(err, storage.ErrWriteConflict) ||
+			!strings.Contains(err.Error(), "record 3 (update T)") ||
+			!strings.Contains(err.Error(), "held by a transaction with no commit record") {
+			t.Fatalf("OpenLog = %v, want a refusal naming record 3 (update T)", err)
+		}
+	})
+
+	t.Run("reused tag commits the orphan", func(t *testing.T) {
+		dir := filepath.Join(t.TempDir(), "wal")
+		write(t, dir, crash, []storage.LogRecord{
+			{Op: storage.OpInsert, Table: "T", RowID: 2, Row: value.NewTuple(2, "Rome"), Txn: 1},
+			{Op: storage.OpCommit, Txn: 1, TS: 10},
+		})
+		cat, l, n := takeOver(t, dir)
+		defer l.Close()
+		if got := fmt.Sprint(rows(t, cat, "T")); n != 0 || got != "[(1, 'Paris') (2, 'Rome')]" {
+			t.Fatalf("rolled back %d, rows %s", n, got)
+		}
+	})
+
+	t.Run("tag never reused is rolled back", func(t *testing.T) {
+		dir := filepath.Join(t.TempDir(), "wal")
+		write(t, dir, crash, []storage.LogRecord{
+			{Op: storage.OpInsert, Table: "T", RowID: 2, Row: value.NewTuple(2, "Rome")},
+		})
+		cat, l, n := takeOver(t, dir)
+		defer l.Close()
+		if got := fmt.Sprint(rows(t, cat, "T")); n != 1 || got != "[(2, 'Rome')]" {
+			t.Fatalf("rolled back %d, rows %s", n, got)
+		}
+	})
+
+	t.Run("compacted by the build that wrote it", func(t *testing.T) {
+		// That build's compaction published the open row into the snapshot.
+		dir := filepath.Join(t.TempDir(), "wal")
+		snap := storage.NewCatalog()
+		tbl, err := snap.Create("T", flightsSchema(), "fno")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tbl.Insert(value.NewTuple(1, "Paris")); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := writeSnapshotSegment(OSFS(), dir, 1, snap, nil); err != nil {
+			t.Fatal(err)
+		}
+		write(t, dir, []storage.LogRecord{
+			{Op: storage.OpUpdate, Table: "T", RowID: 1, Row: value.NewTuple(1, "Oslo")},
+		})
+		cat, l, n := takeOver(t, dir)
+		defer l.Close()
+		if got := fmt.Sprint(rows(t, cat, "T")); n != 0 || got != "[(1, 'Oslo')]" {
+			t.Fatalf("rolled back %d, rows %s", n, got)
+		}
+	})
 }
