@@ -132,10 +132,7 @@ func (a *Applier) apply(r storage.LogRecord) error {
 		default:
 			err = tbl.RestoreAtW(w, r.RowID, r.Row)
 		}
-		if errors.Is(err, storage.ErrWriteConflict) {
-			// The writer that logged r already won every conflict, so the row
-			// is held by a transaction whose commit record is missing. A log
-			// whose recovery published such transactions shows exactly this.
+		if errors.Is(err, storage.ErrWriteConflict) { // r's writer won every conflict it met
 			return fmt.Errorf("%w, held by a transaction with no commit record "+
 				"(a log whose recovery published open transactions must be compacted by the build that wrote it)", err)
 		}

@@ -408,6 +408,13 @@ func decodeRecordPayload(b []byte) (storage.LogRecord, error) {
 //   - err != nil: a CRC-valid payload failed to decode — never expected from
 //     a torn write, always reported as corruption.
 func decodeRecords(data []byte) (recs []storage.LogRecord, good int, torn bool, err error) {
+	// Count the frames first: records are large, and regrowing recs one
+	// append at a time was half of a replay's allocated bytes.
+	n := 0
+	for off := 0; len(data)-off >= 8 && binary.LittleEndian.Uint32(data[off:]) != 0; n++ {
+		off += 8 + int(binary.LittleEndian.Uint32(data[off:]))
+	}
+	recs = make([]storage.LogRecord, 0, n)
 	off := 0
 	for len(data)-off >= 8 {
 		n := binary.LittleEndian.Uint32(data[off:])
