@@ -408,8 +408,8 @@ func decodeRecordPayload(b []byte) (storage.LogRecord, error) {
 //   - err != nil: a CRC-valid payload failed to decode — never expected from
 //     a torn write, always reported as corruption.
 func decodeRecords(data []byte) (recs []storage.LogRecord, good int, torn bool, err error) {
-	// Count the frames first: records are large, and regrowing recs one
-	// append at a time was half of a replay's allocated bytes.
+	// Count the frames first and allocate once: records are large, and
+	// regrowing recs per append would double a replay's allocated bytes.
 	n := 0
 	for off := 0; len(data)-off >= 8 && binary.LittleEndian.Uint32(data[off:]) != 0; n++ {
 		off += 8 + int(binary.LittleEndian.Uint32(data[off:]))

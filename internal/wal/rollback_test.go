@@ -132,66 +132,65 @@ func TestCompactMidTransaction(t *testing.T) {
 			}
 		}
 	}
-}
 
-// TestCompactMidTransactionDroppedTable: an open transaction writes T, then
-// T is dropped and re-created and an auto-commit insert takes RowID 1 of the
-// new T. Compaction must not carry the transaction's records into the new
-// table: every recovery of the compacted log equals that of the same log
-// left uncompacted, whether the transaction commits afterwards or not.
-func TestCompactMidTransactionDroppedTable(t *testing.T) {
-	script := func(dir string, compact, commit bool) {
-		cat, l := loggedCatalog(t, dir)
-		old, err := cat.Create("T", flightsSchema(), "fno")
-		if err != nil {
-			t.Fatal(err)
-		}
-		w := cat.NewWriter()
-		w.SetSnapshot(cat.Clock())
-		if _, err := old.InsertW(w, value.NewTuple(1, "Paris")); err != nil {
-			t.Fatal(err)
-		}
-		if err := cat.Drop("T"); err != nil {
-			t.Fatal(err)
-		}
-		tbl, err := cat.Create("T", flightsSchema(), "fno")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := tbl.Insert(value.NewTuple(2, "Rome")); err != nil {
-			t.Fatal(err)
-		}
-		if compact {
-			if err := l.Compact(); err != nil {
+	// An open transaction writes T, then T is dropped and re-created and an
+	// auto-commit insert takes RowID 1 of the new T. Compaction must not
+	// carry the transaction's records into the new table: every recovery of
+	// the compacted log equals that of the same log left uncompacted.
+	t.Run("dropped table", func(t *testing.T) {
+		script := func(dir string, compact, commit bool) {
+			cat, l := loggedCatalog(t, dir)
+			old, err := cat.Create("T", flightsSchema(), "fno")
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		if commit {
-			w.Commit()
-		}
-		if err := l.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, commit := range []bool{true, false} {
-		plain := filepath.Join(t.TempDir(), "wal")
-		compacted := filepath.Join(t.TempDir(), "wal")
-		script(plain, false, commit)
-		script(compacted, true, commit)
-		for i := 0; i < 2; i++ {
-			var got [2]string
-			for j, dir := range []string{plain, compacted} {
-				cat, l, _ := takeOver(t, dir)
-				got[j] = fmt.Sprint(rows(t, cat, "T"))
-				if err := l.Close(); err != nil {
+			w := cat.NewWriter()
+			w.SetSnapshot(cat.Clock())
+			if _, err := old.InsertW(w, value.NewTuple(1, "Paris")); err != nil {
+				t.Fatal(err)
+			}
+			if err := cat.Drop("T"); err != nil {
+				t.Fatal(err)
+			}
+			tbl, err := cat.Create("T", flightsSchema(), "fno")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := tbl.Insert(value.NewTuple(2, "Rome")); err != nil {
+				t.Fatal(err)
+			}
+			if compact {
+				if err := l.Compact(); err != nil {
 					t.Fatal(err)
 				}
 			}
-			if got[0] != "[(2, 'Rome')]" || got[1] != got[0] {
-				t.Errorf("commit=%v, recovery %d: uncompacted %s, compacted %s; want [(2, 'Rome')]", commit, i, got[0], got[1])
+			if commit {
+				w.Commit()
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
 			}
 		}
-	}
+		for _, commit := range []bool{true, false} {
+			plain := filepath.Join(t.TempDir(), "wal")
+			compacted := filepath.Join(t.TempDir(), "wal")
+			script(plain, false, commit)
+			script(compacted, true, commit)
+			for i := 0; i < 2; i++ {
+				var got [2]string
+				for j, dir := range []string{plain, compacted} {
+					cat, l, _ := takeOver(t, dir)
+					got[j] = fmt.Sprint(rows(t, cat, "T"))
+					if err := l.Close(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if got[0] != "[(2, 'Rome')]" || got[1] != got[0] {
+					t.Errorf("commit=%v, recovery %d: uncompacted %s, compacted %s; want [(2, 'Rome')]", commit, i, got[0], got[1])
+				}
+			}
+		}
+	})
 }
 
 // TestTxnTagReuseAfterRestart: Txn tags restart at 1 with every process.
